@@ -8,11 +8,13 @@ import sys
 import zlib
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
+from typing import Callable
 
-from .closure import forward_chain
+from .closure import Closure, forward_chain
 from .generation import (
     PROMPT_VERSION,
     BASELINE_BUDGETS,
+    Generator,
     HttpGenerator,
     OracleGenerator,
     OracleNoiseConfig,
@@ -20,7 +22,6 @@ from .generation import (
     thread_safe_generator,
 )
 from .harness import (
-    DatasetRecord,
     Method,
     ablation_csv,
     compute_metrics,
@@ -32,7 +33,7 @@ from .harness import (
     MetricsReport,
 )
 from .selector import PipelineConfig, run_pipeline
-from .theory import parse_question, parse_theory_nl, parse_theory_structured, literal_sort_key
+from .theory import Question, parse_question, parse_theory_nl, parse_theory_structured, literal_sort_key
 
 _METHOD_CHOICES = {
     "zero": [Method.ZERO_SHOT],
@@ -43,6 +44,8 @@ _METHOD_CHOICES = {
 }
 
 _PIPELINE_KEYS = {f.name for f in dataclass_fields(PipelineConfig)}
+_HTTP_KEYS = {"endpoint_url", "model_name", "api_key_env", "timeout_ms", "max_retries",
+              "max_in_flight"}
 
 
 def _load_theory_file(path: str):
@@ -58,6 +61,9 @@ def _load_config_file(path: str | None) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise SystemExit("config file must hold a JSON object")
+    unknown = sorted(set(doc) - _PIPELINE_KEYS - _HTTP_KEYS)
+    if unknown:
+        raise SystemExit(f"config file has unknown key(s): {', '.join(unknown)}")
     return doc
 
 
@@ -71,7 +77,10 @@ def _record_seed(base_seed: int, record_id: str) -> int:
     return (base_seed * 1_000_003) ^ zlib.crc32(record_id.encode("utf-8"))
 
 
-def _make_generator_factory(args: argparse.Namespace, config_doc: dict):
+def _generator_for(args: argparse.Namespace,
+                   config_doc: dict) -> Callable[[Closure, Question, int], Generator]:
+    """The --backend generator for (closure, question, oracle seed). The
+    scripted and http backends are one instance shared by every question."""
     if args.backend == "scripted":
         if not args.script:
             raise SystemExit("--backend scripted requires --script <file>")
@@ -79,8 +88,7 @@ def _make_generator_factory(args: argparse.Namespace, config_doc: dict):
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise SystemExit("script file must hold a JSON array of strings")
         shared = thread_safe_generator(ScriptedGenerator(script, strict=False))
-        return lambda record: shared
-    if args.backend == "http":
+    elif args.backend == "http":
         endpoint = args.endpoint or config_doc.get("endpoint_url")
         model = args.model or config_doc.get("model_name")
         if not endpoint or not model:
@@ -93,20 +101,24 @@ def _make_generator_factory(args: argparse.Namespace, config_doc: dict):
             max_retries=config_doc.get("max_retries", 2),
             max_in_flight=config_doc.get("max_in_flight", 4),
         )
-        return lambda record: shared
+    else:
+        def make_oracle(closure: Closure, question: Question, seed: int) -> Generator:
+            noise = OracleNoiseConfig(
+                flip_answer_prob=args.flip,
+                corrupt_claim_prob=args.corrupt,
+                malform_prob=args.malform,
+                seed=seed,
+            )
+            return OracleGenerator(closure, question, noise)
 
-    def make_oracle(record: DatasetRecord):
-        noise = OracleNoiseConfig(
-            flip_answer_prob=args.flip,
-            corrupt_claim_prob=args.corrupt,
-            malform_prob=args.malform,
-            seed=_record_seed(args.seed, record.record_id),
-        )
-        theory = parse_theory_nl(record.theory_text)
-        question = parse_question(record.question_text)
-        return OracleGenerator(theory, question, noise)
+        return make_oracle
+    return lambda closure, question, seed: shared
 
-    return make_oracle
+
+def _make_generator_factory(args: argparse.Namespace, config_doc: dict):
+    make = _generator_for(args, config_doc)
+    return lambda record: make(record.closure, record.question,
+                               _record_seed(args.seed, record.record_id))
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
@@ -140,28 +152,10 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _cmd_answer(args: argparse.Namespace) -> int:
     config_doc = _load_config_file(args.config)
     config = _pipeline_config(config_doc)
-    theory = _load_theory_file(args.theory_file)
+    closure = forward_chain(_load_theory_file(args.theory_file))
     question = parse_question(args.question)
-
-    if args.backend == "scripted":
-        if not args.script:
-            raise SystemExit("--backend scripted requires --script <file>")
-        script = json.loads(Path(args.script).read_text(encoding="utf-8"))
-        generator = ScriptedGenerator(script, strict=False)
-    elif args.backend == "http":
-        endpoint = args.endpoint or config_doc.get("endpoint_url")
-        model = args.model or config_doc.get("model_name")
-        if not endpoint or not model:
-            raise SystemExit("--backend http requires --endpoint and --model")
-        generator = HttpGenerator(endpoint, model)
-    else:
-        noise = OracleNoiseConfig(
-            flip_answer_prob=args.flip, corrupt_claim_prob=args.corrupt,
-            malform_prob=args.malform, seed=args.seed,
-        )
-        generator = OracleGenerator(theory, question, noise)
-
-    result = run_pipeline(theory, question, config, generator)
+    generator = _generator_for(args, config_doc)(closure, question, args.seed)
+    result = run_pipeline(closure, question, config, generator)
     print(json.dumps(result.to_json_dict(), indent=2))
     return 0
 

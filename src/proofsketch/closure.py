@@ -20,7 +20,7 @@ changes; it exists as an independent reference for equivalence testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .theory import ClosureDecision, Label, Literal, Polarity, Question, Rule, Theory
@@ -28,16 +28,17 @@ from .theory import ClosureDecision, Label, Literal, Polarity, Question, Rule, T
 
 @dataclass(frozen=True)
 class Closure:
-    """Fixpoint literal set with derivation depths and a per-entity index."""
+    """Fixpoint literal set with derivation depths and a per-entity index.
+
+    theory is the theory the closure was computed from, so a closure is
+    everything a question about that theory needs.
+    """
 
     literals: frozenset[Literal]
     depth: Mapping[Literal, int]
     contradictory: bool
     entity_index: Mapping[str, frozenset[Literal]]
-
-
-def _entity_universe(theory: Theory) -> frozenset[str]:
-    return theory.entities()
+    theory: Theory = field(compare=False)
 
 
 def _index_by_entity(literals: frozenset[Literal]) -> dict[str, frozenset[Literal]]:
@@ -59,7 +60,7 @@ def forward_chain(theory: Theory) -> Closure:
     Round-based evaluation makes that the minimum over all derivations.
     """
     known: dict[Literal, int] = {literal: 0 for literal in theory.facts()}
-    entities = _entity_universe(theory)
+    entities = theory.entities()
 
     rules_by_condition: dict[tuple[str, Polarity], list[int]] = {}
     for index, rule in enumerate(theory.rules):
@@ -107,6 +108,7 @@ def forward_chain(theory: Theory) -> Closure:
         depth=known,
         contradictory=contradictory,
         entity_index=_index_by_entity(literals),
+        theory=theory,
     )
 
 
@@ -117,7 +119,7 @@ def brute_force_closure(theory: Theory) -> Closure:
     the production engine.
     """
     literals: set[Literal] = set(theory.facts())
-    entities = _entity_universe(theory)
+    entities = theory.entities()
     changed = True
     while changed:
         changed = False
@@ -140,6 +142,7 @@ def brute_force_closure(theory: Theory) -> Closure:
         depth={},
         contradictory=_is_contradictory(frozen),
         entity_index=_index_by_entity(frozen),
+        theory=theory,
     )
 
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 import requests
 
-from .closure import Closure, decide_from_closure, entity_has_closure_facts, forward_chain
+from .closure import Closure, decide_from_closure, entity_has_closure_facts
 from .sketch import RawSketch
 from .theory import Label, Literal, Question, Theory
 
@@ -147,7 +147,6 @@ class GenerationRequest:
     prompt: str
     max_tokens: int
     temperature: float = 0.0
-    stop_hint: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
@@ -297,12 +296,11 @@ class OracleGenerator:
 
     thread_safe = False
 
-    def __init__(self, theory: Theory, question: Question,
+    def __init__(self, closure: Closure, question: Question,
                  noise: OracleNoiseConfig | None = None, *, name: str = "oracle") -> None:
         self._noise = noise or OracleNoiseConfig()
         self._rng = random.Random(self._noise.seed)
         self.name = name
-        closure = forward_chain(theory)
         self._label = decide_from_closure(closure, question).label
         anchored = closure.entity_index.get(question.target.entity, frozenset())
         ordered = sorted(

@@ -3,7 +3,9 @@
 Datasets are JSONL: one object per non-blank line with id, theory,
 question, answer, and an optional depth. Lines that fail validation are
 collected into a rejects report instead of aborting the load, so a run
-always states exactly which inputs it covered.
+always states exactly which inputs it covered. Loading parses and closes
+each distinct theory text once; every record about that theory shares
+the closure, which every method then reads instead of the text.
 
 Four methods are compared: three prompting baselines (answer-only, a few
 reasoning lines, a long derivation) and the verification-guided sketch
@@ -26,6 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from .closure import Closure, forward_chain
 from .generation import (
     BASELINE_BUDGETS,
     BaselineMode,
@@ -35,7 +38,8 @@ from .generation import (
     thread_safe_generator,
 )
 from .selector import Certification, PipelineConfig, run_pipeline
-from .theory import Label, ParseError, parse_question, parse_theory_nl
+from .sketch import last_label_word
+from .theory import Label, ParseError, Question, parse_question, parse_theory_nl
 
 
 class EmptyDatasetError(ValueError):
@@ -63,8 +67,8 @@ _BASELINE_FOR_METHOD = {
 @dataclass(frozen=True)
 class DatasetRecord:
     record_id: str
-    theory_text: str
-    question_text: str
+    closure: Closure
+    question: Question
     gold_label: Label
     depth: int | None = None
 
@@ -116,7 +120,7 @@ class EvalRecord:
         return row
 
 
-def _validate_line(obj: object) -> DatasetRecord:
+def _validate_line(obj: object, closures: dict[str, Closure]) -> DatasetRecord:
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     for key in ("id", "theory", "question", "answer"):
@@ -138,9 +142,10 @@ def _validate_line(obj: object) -> DatasetRecord:
     depth = obj.get("depth")
     if depth is not None and (isinstance(depth, bool) or not isinstance(depth, int) or depth < 0):
         raise ValueError("depth must be a non-negative integer when present")
-    parse_theory_nl(theory_text)
-    parse_question(question_text)
-    return DatasetRecord(record_id, theory_text, question_text, gold, depth)
+    closure = closures.get(theory_text)
+    if closure is None:
+        closure = closures[theory_text] = forward_chain(parse_theory_nl(theory_text))
+    return DatasetRecord(record_id, closure, parse_question(question_text), gold, depth)
 
 
 def load_dataset(path: str | Path) -> LoadResult:
@@ -151,6 +156,7 @@ def load_dataset(path: str | Path) -> LoadResult:
     """
     records: list[DatasetRecord] = []
     rejects: list[RejectedLine] = []
+    closures: dict[str, Closure] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -161,7 +167,7 @@ def load_dataset(path: str | Path) -> LoadResult:
                 rejects.append(RejectedLine(line_number, f"invalid JSON: {exc.msg}"))
                 continue
             try:
-                records.append(_validate_line(obj))
+                records.append(_validate_line(obj, closures))
             except (ValueError, ParseError) as exc:
                 rejects.append(RejectedLine(line_number, str(exc)))
     if not records:
@@ -170,7 +176,6 @@ def load_dataset(path: str | Path) -> LoadResult:
 
 
 _ANSWER_LINE_RE = re.compile(r"^\s*answer\s*[::]\s*(?P<rest>.*)$", re.IGNORECASE)
-_LABEL_WORD_RE = re.compile(r"\b(true|false|unknown)\b", re.IGNORECASE)
 
 
 def extract_label(text: str) -> tuple[Label, bool]:
@@ -184,17 +189,10 @@ def extract_label(text: str) -> tuple[Label, bool]:
         match["rest"] for line in text.splitlines()
         if (match := _ANSWER_LINE_RE.match(line)) is not None
     ]
-    for candidate in reversed(answer_lines):
-        words = _LABEL_WORD_RE.findall(candidate)
-        if words:
-            label = Label.from_text(words[-1])
-            assert label is not None
+    for candidate in (*reversed(answer_lines), text):
+        label = last_label_word(candidate)
+        if label is not None:
             return label, False
-    words = _LABEL_WORD_RE.findall(text)
-    if words:
-        label = Label.from_text(words[-1])
-        assert label is not None
-        return label, False
     return Label.UNKNOWN, True
 
 
@@ -205,9 +203,7 @@ def run_baseline(record: DatasetRecord, mode: BaselineMode,
                  generator: Generator) -> EvalRecord:
     """Evaluate one record with a single budgeted baseline completion."""
     started = time.perf_counter()
-    theory = parse_theory_nl(record.theory_text)
-    question = parse_question(record.question_text)
-    prompt = build_baseline_prompt(theory, question, mode)
+    prompt = build_baseline_prompt(record.closure.theory, record.question, mode)
     raw = request_sketch(generator, prompt, BASELINE_BUDGETS[mode], temperature=0.0)
     predicted, unparseable = extract_label(raw.text)
     latency_ms = (time.perf_counter() - started) * 1000.0
@@ -227,9 +223,7 @@ def run_baseline(record: DatasetRecord, mode: BaselineMode,
 def run_proofsketch(record: DatasetRecord, config: PipelineConfig,
                     generator: Generator) -> EvalRecord:
     """Evaluate one record with the verification-guided pipeline."""
-    theory = parse_theory_nl(record.theory_text)
-    question = parse_question(record.question_text)
-    result = run_pipeline(theory, question, config, generator)
+    result = run_pipeline(record.closure, record.question, config, generator)
     return EvalRecord(
         record_id=record.record_id,
         method=Method.PROOFSKETCH,

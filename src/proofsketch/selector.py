@@ -1,6 +1,6 @@
 """Claim verification, sketch scoring, and the answering pipeline.
 
-run_pipeline answers one question in stages: compute the closure; return
+run_pipeline answers one question about a closed theory in stages: return
 immediately when the closure already decides the question; otherwise
 sample up to max_sketches budgeted sketches, verify every anchored claim
 against the closure, and stop early on the first sketch whose claims all
@@ -19,10 +19,10 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .closure import Closure, decide_from_closure, forward_chain
+from .closure import Closure, decide_from_closure
 from .generation import Generator, GeneratorError, build_sketch_prompt, request_sketch, select_budget
 from .sketch import ParsedSketch, RawSketch, anchor_claims, parse_sketch
-from .theory import Label, Literal, Question, Theory
+from .theory import Label, Literal, Question
 
 
 class VerdictStatus(str, Enum):
@@ -121,7 +121,6 @@ class PipelineConfig:
     budget_anchored: int = 120
     budget_unanchored: int = 160
     temperature: float = 0.3
-    adaptive_budget: bool = True
     fixed_budget: int | None = None
     certify_unknown_from_closure: bool = False
     closure_short_circuit: bool = True
@@ -136,8 +135,10 @@ class PipelineConfig:
             raise ValueError("fixed_budget must be at least 1")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
-        # One budget policy governs: the presence of fixed_budget decides.
-        object.__setattr__(self, "adaptive_budget", self.fixed_budget is None)
+
+    @property
+    def adaptive_budget(self) -> bool:
+        return self.fixed_budget is None
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,7 @@ def _closure_result(label: Label, started: float) -> PipelineResult:
     )
 
 
-def run_pipeline(theory: Theory, question: Question, config: PipelineConfig,
+def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
                  generator: Generator) -> PipelineResult:
     """Answer one question with closure-gated sketch sampling.
 
@@ -247,7 +248,6 @@ def run_pipeline(theory: Theory, question: Question, config: PipelineConfig,
     tokens_generated stamped, so callers can account for partial work.
     """
     started = time.perf_counter()
-    closure = forward_chain(theory)
     decision = decide_from_closure(closure, question)
 
     if config.closure_short_circuit:
@@ -262,7 +262,7 @@ def run_pipeline(theory: Theory, question: Question, config: PipelineConfig,
                 return _closure_result(Label.UNKNOWN, started)
 
     budget = select_budget(closure, question, config)
-    prompt = build_sketch_prompt(theory, question)
+    prompt = build_sketch_prompt(closure.theory, question)
     scored: list[ScoredSketch] = []
     total_tokens = 0
 
@@ -274,7 +274,7 @@ def run_pipeline(theory: Theory, question: Question, config: PipelineConfig,
             exc.tokens_generated = total_tokens
             raise
         total_tokens += raw.token_count
-        parsed = parse_sketch(raw, theory)
+        parsed = parse_sketch(raw, closure.theory)
         anchored = anchor_claims(parsed.claims, question)
         if len(anchored) != len(parsed.claims):
             removed = len(parsed.claims) - len(anchored)
@@ -296,9 +296,8 @@ def run_pipeline(theory: Theory, question: Question, config: PipelineConfig,
 
     # max() keeps the earliest of tied sketches, matching the tie rule.
     best = max(scored, key=lambda sketch: sketch.score.as_tuple())
-    recheck = decide_from_closure(closure, question)
-    if recheck.decided:
-        answer = recheck.label
+    if decision.decided:
+        answer = decision.label
         source = AnswerSource.CLOSURE_CORRECTION
     else:
         answer = best.parsed.answer

@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .theory import EmptySymbolError, Label, Literal, Polarity, Question, Theory, canonicalize_symbol
+from .theory import Label, Literal, ParseError, Question, Theory, _parse_fact
 
 _LABEL_WORD_RE = re.compile(r"\b(true|false|unknown)\b", re.IGNORECASE)
 _TRAILING_COMMA_RE = re.compile(r",(\s*[}\]])")
 _CONTRACTION_RE = re.compile(r"\bisn'?t\b", re.IGNORECASE)
-_CLAIM_RE = re.compile(r"^(?P<subj>.+?)\s+is\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE)
 
 _SMART_QUOTES = str.maketrans({"“": '"', "”": '"', "„": '"',
                                "‘": "'", "’": "'", "‚": "'"})
@@ -165,12 +164,10 @@ def _repaired_decode(text: str) -> tuple[Label, list[str]] | None:
     return answer, claims
 
 
-def _scan_answer(text: str) -> Label:
-    matches = _LABEL_WORD_RE.findall(text)
-    if not matches:
-        return Label.UNKNOWN
-    folded = _fold_answer(matches[-1])
-    return folded if folded is not None else Label.UNKNOWN
+def last_label_word(text: str) -> Label | None:
+    """The last of the words True/False/Unknown in text, in any case."""
+    words = _LABEL_WORD_RE.findall(text)
+    return Label.from_text(words[-1]) if words else None
 
 
 def canonicalize_claim(claim_text: str, theory: Theory) -> Literal | None:
@@ -181,18 +178,13 @@ def canonicalize_claim(claim_text: str, theory: Theory) -> Literal | None:
     about unknown vocabulary is unverifiable and therefore unmappable.
     """
     expanded = _CONTRACTION_RE.sub("is not", claim_text.strip().rstrip("."))
-    match = _CLAIM_RE.match(expanded)
-    if not match:
-        return None
     try:
-        entity = canonicalize_symbol(match["subj"])
-        attribute = canonicalize_symbol(match["attr"])
-    except EmptySymbolError:
+        literal = _parse_fact(expanded)
+    except ParseError:
         return None
-    if entity not in theory.entities() or attribute not in theory.attributes():
+    if literal.entity not in theory.entities() or literal.attribute not in theory.attributes():
         return None
-    polarity = Polarity.NEGATIVE if match["neg"] else Polarity.POSITIVE
-    return Literal(entity, attribute, polarity)
+    return literal
 
 
 def parse_sketch(raw: RawSketch, theory: Theory) -> ParsedSketch:
@@ -203,7 +195,7 @@ def parse_sketch(raw: RawSketch, theory: Theory) -> ParsedSketch:
         decoded = _repaired_decode(raw.text)
         status = ParseStatus.REPAIRED
     if decoded is None:
-        return ParsedSketch(_scan_answer(raw.text), (), ParseStatus.FAILED)
+        return ParsedSketch(last_label_word(raw.text) or Label.UNKNOWN, (), ParseStatus.FAILED)
 
     answer, claim_texts = decoded
     claims: list[Literal] = []
@@ -215,7 +207,8 @@ def parse_sketch(raw: RawSketch, theory: Theory) -> ParsedSketch:
         elif literal not in claims:
             claims.append(literal)
     if not claims:
-        return ParsedSketch(_scan_answer(raw.text), (), ParseStatus.FAILED, dropped_claims=dropped)
+        return ParsedSketch(last_label_word(raw.text) or Label.UNKNOWN, (), ParseStatus.FAILED,
+                            dropped_claims=dropped)
     return ParsedSketch(answer, tuple(claims), status, dropped_claims=dropped)
 
 

@@ -204,12 +204,18 @@ class Rule:
 
 @dataclass(frozen=True)
 class Theory:
-    """Asserted facts plus rules, with polarities kept apart."""
+    """Asserted facts plus rules, with polarities kept apart.
+
+    The entity and attribute vocabularies are computed once, at
+    construction: claim canonicalization checks them for every claim.
+    """
 
     positive_facts: frozenset[Literal]
     negative_facts: frozenset[Literal]
     rules: tuple[Rule, ...] = ()
     source_text: str | None = field(default=None, compare=False)
+    _entities: frozenset[str] = field(init=False, repr=False, compare=False)
+    _attributes: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for literal in self.positive_facts:
@@ -226,6 +232,14 @@ class Theory:
             raise InconsistentFactsError(
                 f"both polarities asserted for ({entity}, {attribute})"
             )
+        entities = {literal.entity for literal in self.facts()}
+        entities.update(rule.subject for rule in self.rules if rule.subject is not None)
+        attributes = {literal.attribute for literal in self.facts()}
+        for rule in self.rules:
+            attributes.update(attribute for attribute, _ in rule.body)
+            attributes.add(rule.head[0])
+        object.__setattr__(self, "_entities", frozenset(entities))
+        object.__setattr__(self, "_attributes", frozenset(attributes))
 
     def facts(self) -> Iterator[Literal]:
         yield from self.positive_facts
@@ -233,16 +247,10 @@ class Theory:
 
     def entities(self) -> frozenset[str]:
         """Entities named by facts or by a concrete rule subject."""
-        named = {literal.entity for literal in self.facts()}
-        named.update(rule.subject for rule in self.rules if rule.subject is not None)
-        return frozenset(named)
+        return self._entities
 
     def attributes(self) -> frozenset[str]:
-        named = {literal.attribute for literal in self.facts()}
-        for rule in self.rules:
-            named.update(attribute for attribute, _ in rule.body)
-            named.add(rule.head[0])
-        return frozenset(named)
+        return self._attributes
 
     def to_structured(self) -> dict[str, Any]:
         """Serialize to the structured JSON shape. Facts are emitted sorted."""

@@ -10,7 +10,6 @@ import random
 
 from proofsketch import (
     DatasetRecord,
-    Label,
     Literal,
     Polarity,
     Question,
@@ -76,16 +75,13 @@ def random_question(rng: random.Random, theory: Theory) -> Question:
     return Question(Literal(entity, attribute, polarity), raw_text=text)
 
 
-def gold_label(theory: Theory, question: Question) -> Label:
-    return decide_from_closure(forward_chain(theory), question).label
-
-
 def record_for(theory: Theory, question: Question, record_id: str) -> DatasetRecord:
+    closure = forward_chain(theory)
     return DatasetRecord(
         record_id=record_id,
-        theory_text=theory.to_text(),
-        question_text=question.raw_text,
-        gold_label=gold_label(theory, question),
+        closure=closure,
+        question=question,
+        gold_label=decide_from_closure(closure, question).label,
     )
 
 

@@ -108,9 +108,9 @@ def test_criterion_02_order_independence() -> None:
 
 # ---------------------------------------------------------------------------
 
-_TRACE_THEORY = parse_theory_nl(
+_TRACE_CLOSURE = forward_chain(parse_theory_nl(
     "Anne is big. Bob is round. If someone is big then they are kind."
-)
+))
 _DECIDED_Q = parse_question("Is Anne kind?")
 _OPEN_Q = parse_question("Is Bob kind?")
 
@@ -140,30 +140,30 @@ def test_criterion_03_golden_traces() -> None:
         if observed != expected:
             problems.append(f"{name}: {observed} != {expected}")
 
-    result = run_pipeline(_TRACE_THEORY, _DECIDED_Q, PipelineConfig(),
+    result = run_pipeline(_TRACE_CLOSURE, _DECIDED_Q, PipelineConfig(),
                           ScriptedGenerator([_CERT]))
     check("short-circuit", result, Label.TRUE, (), Certification.CERTIFIED,
           AnswerSource.CLOSURE_SHORT_CIRCUIT, 0, 0)
 
-    result = run_pipeline(_TRACE_THEORY, _OPEN_Q, PipelineConfig(),
+    result = run_pipeline(_TRACE_CLOSURE, _OPEN_Q, PipelineConfig(),
                           ScriptedGenerator([_CERT]))
     check("early-stop-1", result, Label.UNKNOWN, (_BOB_ROUND,), Certification.CERTIFIED,
           AnswerSource.CERTIFIED_SKETCH, 1, count_tokens(_CERT))
 
     script = [_GIBBERISH, _UNSUPPORTED, _CERT]
-    result = run_pipeline(_TRACE_THEORY, _OPEN_Q, PipelineConfig(),
+    result = run_pipeline(_TRACE_CLOSURE, _OPEN_Q, PipelineConfig(),
                           ScriptedGenerator(script))
     check("early-stop-3", result, Label.UNKNOWN, (_BOB_ROUND,), Certification.CERTIFIED,
           AnswerSource.CERTIFIED_SKETCH, 3, sum(count_tokens(s) for s in script))
 
-    result = run_pipeline(_TRACE_THEORY, _OPEN_Q, PipelineConfig(),
+    result = run_pipeline(_TRACE_CLOSURE, _OPEN_Q, PipelineConfig(),
                           ScriptedGenerator([_PARTIAL] * 4))
     check("exhaustion-partial", result, Label.UNKNOWN, (_BOB_ROUND,), Certification.PARTIAL,
           AnswerSource.BEST_SKETCH, 4, 4 * count_tokens(_PARTIAL))
 
     # Diagnostic run with the short circuit off: the loop exhausts on a
     # closure-decided question and the final re-check corrects the answer.
-    result = run_pipeline(_TRACE_THEORY, _DECIDED_Q,
+    result = run_pipeline(_TRACE_CLOSURE, _DECIDED_Q,
                           PipelineConfig(closure_short_circuit=False),
                           ScriptedGenerator([_WRONG_PARTIAL] * 4))
     check("exhaustion-correction", result, Label.TRUE, (_ANNE_BIG,), Certification.PARTIAL,
@@ -200,8 +200,8 @@ def test_criterion_04_oracle_generator_soundness() -> None:
     correct = certified = 0
     for index, (theory, question, closure) in enumerate(cases):
         gold = decide_from_closure(closure, question).label
-        generator = OracleGenerator(theory, question, OracleNoiseConfig(seed=index))
-        result = run_pipeline(theory, question, PipelineConfig(), generator)
+        generator = OracleGenerator(closure, question, OracleNoiseConfig(seed=index))
+        result = run_pipeline(closure, question, PipelineConfig(), generator)
         correct += result.answer is gold
         certified += result.certification is Certification.CERTIFIED
     accuracy = correct / len(cases)
@@ -221,8 +221,8 @@ def test_criterion_04_oracle_generator_soundness() -> None:
     flipped_correct = flipped_certified = consistency_ok = 0
     for index, (theory, question, closure) in enumerate(undecidable):
         noise = OracleNoiseConfig(flip_answer_prob=1.0, seed=index)
-        result = run_pipeline(theory, question, PipelineConfig(),
-                              OracleGenerator(theory, question, noise))
+        result = run_pipeline(closure, question, PipelineConfig(),
+                              OracleGenerator(closure, question, noise))
         flipped_correct += result.answer is Label.UNKNOWN
         flipped_certified += result.certification is Certification.CERTIFIED
         winning = result.sketches[-1]
@@ -251,16 +251,16 @@ def test_criterion_05_noise_monotonicity() -> None:
         theory = random_theory(rng)
         question = random_question(rng, theory)
         closure = forward_chain(theory)
-        cases.append((theory, question, decide_from_closure(closure, question).label))
+        cases.append((closure, question, decide_from_closure(closure, question).label))
 
     accuracies = {}
     cert_rates = {}
     for corrupt in (0.0, 0.25, 0.5):
         correct = certified = 0
-        for index, (theory, question, gold) in enumerate(cases):
+        for index, (closure, question, gold) in enumerate(cases):
             noise = OracleNoiseConfig(corrupt_claim_prob=corrupt, seed=1_000 + index)
-            result = run_pipeline(theory, question, PipelineConfig(),
-                                  OracleGenerator(theory, question, noise))
+            result = run_pipeline(closure, question, PipelineConfig(),
+                                  OracleGenerator(closure, question, noise))
             correct += result.answer is gold
             certified += result.certification is Certification.CERTIFIED
         accuracies[corrupt] = correct / len(cases)
@@ -303,11 +303,7 @@ def test_criterion_06_budget_policy() -> None:
     ]
 
     def factory(record: DatasetRecord):
-        return OracleGenerator(
-            parse_theory_nl(record.theory_text),
-            parse_question(record.question_text),
-            OracleNoiseConfig(),
-        )
+        return OracleGenerator(record.closure, record.question, OracleNoiseConfig())
 
     rows = run_ablation(records, list(range(120, 221, 20)), PipelineConfig(), factory)
     labels = [row.budget for row in rows]
@@ -427,7 +423,7 @@ def test_criterion_09_budget_enforcement() -> None:
         "Anne is big. Anne is quiet. Anne is round. If someone is big then they are kind."
     )
     oracle = OracleGenerator(
-        oracle_theory, parse_question("Is Anne young?"),
+        forward_chain(oracle_theory), parse_question("Is Anne young?"),
         OracleNoiseConfig(corrupt_claim_prob=0.3, malform_prob=0.2, seed=4),
     )
     check_calls("oracle",

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+import proofsketch
 from proofsketch.cli import _parse_budgets, _record_seed, main
+
+from test_generation import _StubEndpoint, _ok_payload
 
 THEORY_TEXT = "Anne is big. Bob is round. If someone is big then they are kind.\n"
 
@@ -145,6 +149,46 @@ class TestAnswerCommand:
         assert payload["generator_calls"] == 2
         assert payload["certification"] == "Uncertified"
 
+    def test_unknown_config_key_rejected(self, theory_file, tmp_path) -> None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_sketch": 1}), encoding="utf-8")
+        with pytest.raises(SystemExit, match="unknown key.*max_sketch"):
+            main(["answer", str(theory_file), "--question", "Is Bob kind?",
+                  "--config", str(config)])
+
+    def test_scripted_script_must_be_string_array(self, theory_file, tmp_path) -> None:
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"answer": "Unknown"}), encoding="utf-8")
+        with pytest.raises(SystemExit, match="JSON array of strings"):
+            main(["answer", str(theory_file), "--question", "Is Bob kind?",
+                  "--backend", "scripted", "--script", str(script)])
+
+    def test_http_backend_reads_config(self, theory_file, tmp_path, capsys,
+                                       monkeypatch) -> None:
+        monkeypatch.delenv("PROOFSKETCH_API_KEY", raising=False)
+        monkeypatch.setenv("PROOFSKETCH_TEST_KEY", "sk-from-config")
+        endpoint = _StubEndpoint()
+        try:
+            endpoint.plan(("status", 500),
+                          ("ok", _ok_payload('{"answer": "Unknown", "claims": ["bob is round"]}')))
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({
+                "endpoint_url": endpoint.url, "model_name": "stub-model",
+                "api_key_env": "PROOFSKETCH_TEST_KEY", "timeout_ms": 5000,
+                "max_retries": 0, "max_in_flight": 1,
+            }), encoding="utf-8")
+            argv = ["answer", str(theory_file), "--question", "Is Bob kind?",
+                    "--backend", "http", "--config", str(config)]
+            # max_retries 0: the 500 is not retried.
+            with pytest.raises(proofsketch.GeneratorError):
+                main(argv)
+            assert main(argv) == 0
+        finally:
+            endpoint.close()
+        assert json.loads(capsys.readouterr().out)["certification"] == "Certified"
+        assert [r["auth"] for r in endpoint.requests] == ["Bearer sk-from-config"] * 2
+        assert endpoint.requests[1]["body"]["model"] == "stub-model"
+
 
 class TestEvalCommand:
     def test_oracle_eval_all_methods(self, dataset, capsys) -> None:
@@ -264,3 +308,51 @@ class TestRecordSeedMixing:
     def test_stable(self) -> None:
         assert _record_seed(7, "abc") == _record_seed(7, "abc")
         assert _record_seed(7, "abc") != _record_seed(8, "abc")
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the argument of every call to a package function, wherever
+    a proofsketch module binds it."""
+    original = getattr(proofsketch, name)
+    calls: list = []
+
+    def counted(arg):
+        calls.append(arg)
+        return original(arg)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "proofsketch" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSingleProducer:
+    THEORIES = (
+        "Anne is big. Bob is round. If someone is big then they are kind.",
+        "Carol is not quiet. Dave is big.",
+    )
+
+    def test_eval_parses_and_closes_each_theory_once(self, tmp_path, capsys,
+                                                     monkeypatch) -> None:
+        rows = [
+            (0, "Is Anne kind?", "True"), (1, "Is Carol quiet?", "False"),
+            (0, "Is Bob kind?", "Unknown"), (1, "Is Dave big?", "True"),
+            (0, "Is Bob round?", "True"), (1, "Is Dave quiet?", "Unknown"),
+        ]
+        path = tmp_path / "shared.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": f"s-{i}", "theory": self.THEORIES[t], "question": q, "answer": a})
+            + "\n" for i, (t, q, a) in enumerate(rows)), encoding="utf-8")
+        parses = _count_calls(monkeypatch, "parse_theory_nl")
+        closures = _count_calls(monkeypatch, "forward_chain")
+        assert main(["eval", str(path), "--method", "all", "--out", str(tmp_path / "run")]) == 0
+        assert sorted(parses) == sorted(self.THEORIES)
+        assert sorted(theory.source_text for theory in closures) == sorted(self.THEORIES)
+        records = (tmp_path / "run" / "records.jsonl").read_text().splitlines()
+        assert len(records) == 4 * len(rows)
+
+    def test_answer_closes_once(self, theory_file, capsys, monkeypatch) -> None:
+        closures = _count_calls(monkeypatch, "forward_chain")
+        assert main(["answer", str(theory_file), "--question", "Is Bob kind?"]) == 0
+        assert json.loads(capsys.readouterr().out)["generator_calls"] == 1
+        assert len(closures) == 1

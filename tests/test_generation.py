@@ -198,7 +198,7 @@ class TestOracleGenerator:
 
     def test_noise_zero_matches_closure(self) -> None:
         question = parse_question("Is Anne kind?")
-        generator = OracleGenerator(THEORY, question, OracleNoiseConfig(seed=5))
+        generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(seed=5))
         parsed = parse_sketch(
             RawSketch(text=self._generate(generator), token_count=0), THEORY
         )
@@ -212,7 +212,7 @@ class TestOracleGenerator:
 
     def test_claims_ordered_shallowest_first(self) -> None:
         question = parse_question("Is Anne kind?")
-        generator = OracleGenerator(THEORY, question, OracleNoiseConfig(seed=5))
+        generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(seed=5))
         payload = json.loads(self._generate(generator))
         assert payload["claims"] == ["anne is big", "anne is kind"]
 
@@ -221,13 +221,13 @@ class TestOracleGenerator:
             "Anne is big. Anne is quiet. Anne is round. Anne is smart. Anne is young."
         )
         question = parse_question("Is Anne kind?")
-        generator = OracleGenerator(theory, question, OracleNoiseConfig(seed=5))
+        generator = OracleGenerator(forward_chain(theory), question, OracleNoiseConfig(seed=5))
         payload = json.loads(self._generate(generator))
         assert len(payload["claims"]) == 3
 
     def test_no_closure_facts_means_no_claims(self) -> None:
         question = parse_question("Is Zed kind?")
-        generator = OracleGenerator(THEORY, question, OracleNoiseConfig(seed=5))
+        generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(seed=5))
         payload = json.loads(self._generate(generator))
         assert payload["claims"] == []
         assert payload["answer"] == "Unknown"
@@ -235,15 +235,15 @@ class TestOracleGenerator:
     def test_same_seed_same_stream(self) -> None:
         noise = OracleNoiseConfig(flip_answer_prob=0.5, corrupt_claim_prob=0.5,
                                   malform_prob=0.3, seed=77)
-        first = OracleGenerator(THEORY, QUESTION, noise)
-        second = OracleGenerator(THEORY, QUESTION, noise)
+        first = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
+        second = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
         stream_a = [self._generate(first) for _ in range(20)]
         stream_b = [self._generate(second) for _ in range(20)]
         assert stream_a == stream_b
 
     def test_flip_always_changes_answer(self) -> None:
         noise = OracleNoiseConfig(flip_answer_prob=1.0, seed=3)
-        generator = OracleGenerator(THEORY, QUESTION, noise)
+        generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
         for _ in range(10):
             payload = json.loads(self._generate(generator))
             assert payload["answer"] != Label.TRUE.value
@@ -251,14 +251,14 @@ class TestOracleGenerator:
 
     def test_malform_always_breaks_parse(self) -> None:
         noise = OracleNoiseConfig(malform_prob=1.0, seed=3)
-        generator = OracleGenerator(THEORY, QUESTION, noise)
+        generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
         text = self._generate(generator)
         parsed = parse_sketch(RawSketch(text=text, token_count=0), THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
 
     def test_corrupt_negates_claims(self) -> None:
         noise = OracleNoiseConfig(corrupt_claim_prob=1.0, seed=3)
-        generator = OracleGenerator(THEORY, QUESTION, noise)
+        generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
         payload = json.loads(self._generate(generator))
         assert payload["claims"] == ["anne is not big", "anne is not kind"]
 

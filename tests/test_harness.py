@@ -38,6 +38,9 @@ from proofsketch import (
     run_baseline,
     run_proofsketch,
     savings_percent,
+    forward_chain,
+    parse_question,
+    parse_theory_nl,
     token_savings,
     write_run,
 )
@@ -141,8 +144,18 @@ class TestExtractLabel:
         assert extract_label("True\nAnswer:") == (Label.TRUE, False)
 
 
+def _record(record_id: str, theory_text: str, question_text: str,
+            gold_label: Label) -> DatasetRecord:
+    return DatasetRecord(
+        record_id=record_id,
+        closure=forward_chain(parse_theory_nl(theory_text)),
+        question=parse_question(question_text),
+        gold_label=gold_label,
+    )
+
+
 class TestRunBaseline:
-    RECORD = DatasetRecord(
+    RECORD = _record(
         record_id="r1",
         theory_text="Anne is big. If someone is big then they are kind.",
         question_text="Is Anne kind?",
@@ -189,7 +202,7 @@ class TestRunProofSketch:
         assert row.sketch_scores == ()
 
     def test_open_record_uses_generator(self) -> None:
-        record = DatasetRecord(
+        record = _record(
             record_id="r2",
             theory_text="Anne is big. Bob is round.",
             question_text="Is Bob kind?",
@@ -205,14 +218,8 @@ class TestRunProofSketch:
 
 
 def _oracle_factory(noise: OracleNoiseConfig | None = None):
-    from proofsketch import parse_question, parse_theory_nl
-
     def factory(record: DatasetRecord) -> OracleGenerator:
-        return OracleGenerator(
-            parse_theory_nl(record.theory_text),
-            parse_question(record.question_text),
-            noise or OracleNoiseConfig(),
-        )
+        return OracleGenerator(record.closure, record.question, noise or OracleNoiseConfig())
 
     return factory
 

@@ -196,8 +196,10 @@ class TestPipelineConfig:
         assert not config.adaptive_budget
 
     def test_adaptive_flag_is_derived(self) -> None:
-        assert PipelineConfig(adaptive_budget=False).adaptive_budget
-        assert not PipelineConfig(adaptive_budget=True, fixed_budget=180).adaptive_budget
+        assert PipelineConfig().adaptive_budget
+        assert not PipelineConfig(fixed_budget=180).adaptive_budget
+        with pytest.raises(TypeError):
+            PipelineConfig(adaptive_budget=False)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -249,7 +251,7 @@ def _result_view(result: PipelineResult) -> dict:
 class TestRunPipeline:
     def test_closure_short_circuit(self) -> None:
         generator = ScriptedGenerator([CERTIFIED_SKETCH])
-        result = run_pipeline(THEORY, DECIDED_Q, PipelineConfig(), generator)
+        result = run_pipeline(CLOSURE, DECIDED_Q, PipelineConfig(), generator)
         assert result.answer is Label.TRUE
         assert result.certification is Certification.CERTIFIED
         assert result.answer_source is AnswerSource.CLOSURE_SHORT_CIRCUIT
@@ -261,14 +263,14 @@ class TestRunPipeline:
     def test_short_circuit_false_answer(self) -> None:
         generator = ScriptedGenerator([CERTIFIED_SKETCH])
         result = run_pipeline(
-            THEORY, parse_question("Is Anne not kind?"), PipelineConfig(), generator
+            CLOSURE, parse_question("Is Anne not kind?"), PipelineConfig(), generator
         )
         assert result.answer is Label.FALSE
         assert result.generator_calls == 0
 
     def test_early_stop_first_call(self) -> None:
         generator = ScriptedGenerator([CERTIFIED_SKETCH])
-        result = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
         assert result.answer is Label.UNKNOWN
         assert result.certification is Certification.CERTIFIED
         assert result.answer_source is AnswerSource.CERTIFIED_SKETCH
@@ -278,7 +280,7 @@ class TestRunPipeline:
 
     def test_early_stop_third_call(self) -> None:
         generator = ScriptedGenerator([FAILED_SKETCH, UNSUPPORTED_SKETCH, CERTIFIED_SKETCH])
-        result = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
         assert result.generator_calls == 3
         assert result.certification is Certification.CERTIFIED
         assert result.answer_source is AnswerSource.CERTIFIED_SKETCH
@@ -286,7 +288,7 @@ class TestRunPipeline:
 
     def test_exhaustion_partial(self) -> None:
         generator = ScriptedGenerator([PARTIAL_SKETCH] * 4)
-        result = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
         assert result.generator_calls == 4
         assert result.certification is Certification.PARTIAL
         assert result.answer_source is AnswerSource.BEST_SKETCH
@@ -295,7 +297,7 @@ class TestRunPipeline:
 
     def test_exhaustion_uncertified(self) -> None:
         generator = ScriptedGenerator([FAILED_SKETCH] * 4)
-        result = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
         assert result.generator_calls == 4
         assert result.certification is Certification.UNCERTIFIED
         assert result.answer_source is AnswerSource.BEST_SKETCH
@@ -308,7 +310,7 @@ class TestRunPipeline:
         script = ['{"answer": "False", "claims": ["anne is missing"]}'] * 4
         generator = ScriptedGenerator(script)
         config = PipelineConfig(closure_short_circuit=False)
-        result = run_pipeline(THEORY, DECIDED_Q, config, generator)
+        result = run_pipeline(CLOSURE, DECIDED_Q, config, generator)
         assert result.answer is Label.TRUE
         assert result.answer_source is AnswerSource.CLOSURE_CORRECTION
         assert result.generator_calls == 4
@@ -318,7 +320,7 @@ class TestRunPipeline:
         # Claims about anne cannot certify a question about bob.
         script = ['{"answer": "Unknown", "claims": ["anne is big"]}'] * 4
         generator = ScriptedGenerator(script)
-        result = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
         assert result.certification is Certification.UNCERTIFIED
         assert result.generator_calls == 4
         for sketch in result.sketches:
@@ -328,21 +330,21 @@ class TestRunPipeline:
     def test_token_accounting_sums_calls(self) -> None:
         script = [FAILED_SKETCH, UNSUPPORTED_SKETCH, CERTIFIED_SKETCH]
         generator = ScriptedGenerator(script)
-        result = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
         assert result.total_generated_tokens == sum(count_tokens(s) for s in script)
 
     def test_budget_truncates_oversized_sketch(self) -> None:
         long_text = "word " * 300
         generator = ScriptedGenerator([long_text] * 4)
         config = PipelineConfig(fixed_budget=10)
-        result = run_pipeline(THEORY, OPEN_Q, config, generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, config, generator)
         for sketch in result.sketches:
             assert sketch.raw.token_count <= 10
 
     def test_max_sketches_respected(self) -> None:
         generator = ScriptedGenerator([FAILED_SKETCH] * 2)
         config = PipelineConfig(max_sketches=2)
-        result = run_pipeline(THEORY, OPEN_Q, config, generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, config, generator)
         assert result.generator_calls == 2
 
     def test_tie_keeps_earliest(self) -> None:
@@ -353,7 +355,7 @@ class TestRunPipeline:
         assert count_tokens(first) == count_tokens(second)
         generator = ScriptedGenerator([first, second])
         config = PipelineConfig(max_sketches=2)
-        result = run_pipeline(THEORY, OPEN_Q, config, generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, config, generator)
         assert result.sketches[0].score == result.sketches[1].score
         assert result.answer is Label.TRUE
 
@@ -374,19 +376,19 @@ class TestRunPipeline:
                 )
 
         with pytest.raises(GeneratorError) as excinfo:
-            run_pipeline(THEORY, OPEN_Q, PipelineConfig(), Flaky())
+            run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), Flaky())
         assert excinfo.value.calls_made == 2
         assert excinfo.value.tokens_generated == count_tokens(FAILED_SKETCH)
 
     def test_determinism_modulo_latency(self) -> None:
         script = [FAILED_SKETCH, PARTIAL_SKETCH, UNSUPPORTED_SKETCH, CERTIFIED_SKETCH]
-        first = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), ScriptedGenerator(script))
-        second = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), ScriptedGenerator(script))
+        first = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), ScriptedGenerator(script))
+        second = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), ScriptedGenerator(script))
         assert _result_view(first) == _result_view(second)
 
     def test_audit_view_is_json_serializable(self) -> None:
         script = [PARTIAL_SKETCH] * 4
-        result = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), ScriptedGenerator(script))
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), ScriptedGenerator(script))
         encoded = json.dumps(result.to_json_dict())
         assert "bob is round" in encoded
 
@@ -395,7 +397,7 @@ class TestCertifyUnknownFlag:
     def test_underivable_target_certifies(self) -> None:
         config = PipelineConfig(certify_unknown_from_closure=True)
         generator = ScriptedGenerator([CERTIFIED_SKETCH])
-        result = run_pipeline(THEORY, OPEN_Q, config, generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, config, generator)
         assert result.answer is Label.UNKNOWN
         assert result.certification is Certification.CERTIFIED
         assert result.answer_source is AnswerSource.CLOSURE_SHORT_CIRCUIT
@@ -413,12 +415,12 @@ class TestCertifyUnknownFlag:
         question = parse_question("Is Anne kind?")
         config = PipelineConfig(certify_unknown_from_closure=True)
         generator = ScriptedGenerator(['{"answer": "Unknown", "claims": ["anne is big"]}'] * 4)
-        result = run_pipeline(theory, question, config, generator)
+        result = run_pipeline(forward_chain(theory), question, config, generator)
         assert result.generator_calls == 1
         assert result.answer_source is AnswerSource.CERTIFIED_SKETCH
         assert result.answer is Label.UNKNOWN
 
     def test_flag_off_keeps_sampling(self) -> None:
         generator = ScriptedGenerator([CERTIFIED_SKETCH])
-        result = run_pipeline(THEORY, OPEN_Q, PipelineConfig(), generator)
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
         assert result.generator_calls == 1
