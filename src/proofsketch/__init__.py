@@ -18,13 +18,13 @@ from .closure import (
 from .generation import (
     BASELINE_BUDGETS,
     PROMPT_VERSION,
-    BaselineMode,
     GenerationRequest,
     GenerationResponse,
     Generator,
     GeneratorError,
     GenerationTimeout,
     HttpGenerator,
+    Method,
     OracleGenerator,
     OracleNoiseConfig,
     ScriptExhaustedError,
@@ -34,7 +34,6 @@ from .generation import (
     count_tokens,
     request_sketch,
     select_budget,
-    thread_safe_generator,
     truncate_to_tokens,
 )
 from .harness import (
@@ -45,7 +44,6 @@ from .harness import (
     EvalRecord,
     GeneratorFactory,
     LoadResult,
-    Method,
     MethodMetrics,
     MetricsReport,
     RejectedLine,

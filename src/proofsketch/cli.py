@@ -6,46 +6,46 @@ import argparse
 import json
 import sys
 import zlib
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 from typing import Callable
 
 from .closure import Closure, forward_chain
-from .generation import (
-    PROMPT_VERSION,
-    BASELINE_BUDGETS,
-    Generator,
-    HttpGenerator,
-    OracleGenerator,
-    OracleNoiseConfig,
-    ScriptedGenerator,
-    thread_safe_generator,
-)
-from .harness import (
-    Method,
-    ablation_csv,
-    compute_metrics,
-    emit_report,
-    evaluate,
-    load_dataset,
-    run_ablation,
-    write_run,
-    MetricsReport,
-)
+from .generation import (PROMPT_VERSION, BASELINE_BUDGETS, Generator, GeneratorError,
+                         HttpGenerator, Method, OracleGenerator, OracleNoiseConfig,
+                         ScriptedGenerator)
+from .harness import (EmptyDatasetError, MetricsReport, ablation_csv, compute_metrics,
+                      emit_report, evaluate, load_dataset, run_ablation, write_run)
 from .selector import PipelineConfig, run_pipeline
-from .theory import Question, parse_question, parse_theory_nl, parse_theory_structured, literal_sort_key
+from .theory import (InconsistentFactsError, ParseError, Question, SchemaError, literal_sort_key,
+                     parse_question, parse_theory_nl, parse_theory_structured)
 
 _METHOD_CHOICES = {
     "zero": [Method.ZERO_SHOT],
     "short": [Method.SHORT_COT],
     "long": [Method.LONG_COT],
     "sketch": [Method.PROOFSKETCH],
-    "all": [Method.ZERO_SHOT, Method.SHORT_COT, Method.LONG_COT, Method.PROOFSKETCH],
+    "all": list(Method),
 }
 
 _PIPELINE_KEYS = {f.name for f in dataclass_fields(PipelineConfig)}
-_HTTP_KEYS = {"endpoint_url", "model_name", "api_key_env", "timeout_ms", "max_retries",
-              "max_in_flight"}
+
+# Every --config key (the PipelineConfig fields and the http backend's
+# settings) with its accepted JSON types. bool is an int subclass in
+# Python, so it passes only where it is listed.
+_CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
+    **dict.fromkeys(("max_sketches", "budget_anchored", "budget_unanchored", "max_retries",
+                     "max_in_flight"), ((int,), "an integer")),
+    "fixed_budget": ((int, type(None)), "an integer or null"),
+    **dict.fromkeys(("temperature", "timeout_ms"), ((int, float), "a number")),
+    **dict.fromkeys(("certify_unknown_from_closure", "closure_short_circuit"),
+                    ((bool,), "a boolean")),
+    **dict.fromkeys(("endpoint_url", "model_name", "api_key_env"), ((str,), "a string")),
+}
+
+# Bad input from the user: one stderr line and exit status 2.
+_USER_ERRORS = (OSError, json.JSONDecodeError, ParseError, SchemaError, InconsistentFactsError,
+                EmptyDatasetError, GeneratorError)
 
 
 def _load_theory_file(path: str):
@@ -55,21 +55,21 @@ def _load_theory_file(path: str):
     return parse_theory_nl(text)
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
+    """The --config document, type-checked, and the PipelineConfig it sets."""
     if not path:
-        return {}
+        return {}, PipelineConfig()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise SystemExit("config file must hold a JSON object")
-    unknown = sorted(set(doc) - _PIPELINE_KEYS - _HTTP_KEYS)
+    unknown = sorted(set(doc) - set(_CONFIG_TYPES))
     if unknown:
         raise SystemExit(f"config file has unknown key(s): {', '.join(unknown)}")
-    return doc
-
-
-def _pipeline_config(doc: dict) -> PipelineConfig:
-    kwargs = {key: value for key, value in doc.items() if key in _PIPELINE_KEYS}
-    return PipelineConfig(**kwargs)
+    for key, value in doc.items():
+        types, described = _CONFIG_TYPES[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise SchemaError(f"config key {key!r} must be {described}")
+    return doc, PipelineConfig(**{key: doc[key] for key in doc.keys() & _PIPELINE_KEYS})
 
 
 def _record_seed(base_seed: int, record_id: str) -> int:
@@ -87,7 +87,7 @@ def _generator_for(args: argparse.Namespace,
         script = json.loads(Path(args.script).read_text(encoding="utf-8"))
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise SystemExit("script file must hold a JSON array of strings")
-        shared = thread_safe_generator(ScriptedGenerator(script, strict=False))
+        shared = ScriptedGenerator(script, strict=False)
     elif args.backend == "http":
         endpoint = args.endpoint or config_doc.get("endpoint_url")
         model = args.model or config_doc.get("model_name")
@@ -150,8 +150,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 
 def _cmd_answer(args: argparse.Namespace) -> int:
-    config_doc = _load_config_file(args.config)
-    config = _pipeline_config(config_doc)
+    config_doc, config = _load_config(args.config)
     closure = forward_chain(_load_theory_file(args.theory_file))
     question = parse_question(args.question)
     generator = _generator_for(args, config_doc)(closure, question, args.seed)
@@ -168,24 +167,14 @@ def _config_stamp(args: argparse.Namespace, config: PipelineConfig,
         "seed": args.seed,
         "workers": getattr(args, "workers", 1),
         "methods": [m.value for m in methods],
-        "baseline_budgets": {mode.value: budget for mode, budget in BASELINE_BUDGETS.items()},
-        "pipeline": {
-            "max_sketches": config.max_sketches,
-            "budget_anchored": config.budget_anchored,
-            "budget_unanchored": config.budget_unanchored,
-            "temperature": config.temperature,
-            "adaptive_budget": config.adaptive_budget,
-            "fixed_budget": config.fixed_budget,
-            "certify_unknown_from_closure": config.certify_unknown_from_closure,
-            "closure_short_circuit": config.closure_short_circuit,
-        },
+        "baseline_budgets": {method.value: budget for method, budget in BASELINE_BUDGETS.items()},
+        "pipeline": {**asdict(config), "adaptive_budget": config.adaptive_budget},
         "noise": {"flip": args.flip, "corrupt": args.corrupt, "malform": args.malform},
     }
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config_doc = _load_config_file(args.config)
-    config = _pipeline_config(config_doc)
+    config_doc, config = _load_config(args.config)
     methods = _METHOD_CHOICES[args.method]
     loaded = load_dataset(args.dataset)
     factory = _make_generator_factory(args, config_doc)
@@ -219,8 +208,7 @@ def _parse_budgets(spec: str) -> list[int]:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    config_doc = _load_config_file(args.config)
-    config = _pipeline_config(config_doc)
+    config_doc, config = _load_config(args.config)
     budgets = _parse_budgets(args.budgets)
     loaded = load_dataset(args.dataset)
     factory = _make_generator_factory(args, config_doc)
@@ -285,7 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _USER_ERRORS as exc:
+        message = " ".join(str(exc).split())
+        print(f"proofsketch: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

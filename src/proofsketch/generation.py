@@ -1,4 +1,10 @@
-"""Generator backends, prompt templates, and budget enforcement.
+"""The compared methods, their prompts and budgets, and generator backends.
+
+Method is the one table of compared methods: three prompting baselines
+(answer-only, a few reasoning lines, a long derivation), each with a
+closing instruction and a completion budget, and the sketch pipeline.
+Every prompt shares one layout: an opening line, the statements, the
+question, then the method's instruction.
 
 Everything the pipeline asks a text generator for goes through one
 request/response contract. Three backends implement it:
@@ -8,14 +14,17 @@ request/response contract. Three backends implement it:
                        seeded noise knobs for controlled degradation
     HttpGenerator      OpenAI-style chat-completions endpoint over HTTP
 
+A backend that a run shares across questions (scripted, http) is safe for
+concurrent calls; an oracle is built per question and never shared.
+
 Token accounting for local backends is whitespace tokenization; the HTTP
 backend trusts the endpoint's reported completion tokens when present.
 Budgets are enforced on the gateway side: request_sketch truncates
 over-length text at a token boundary and recounts, so the pipeline never
 sees a sketch above the requested maximum.
 
-Prompt templates are frozen module constants. Bump PROMPT_VERSION when
-changing any of them so run configuration stamps stay comparable.
+Prompt text is frozen in module constants. Bump PROMPT_VERSION when
+changing any of it so run configuration stamps stay comparable.
 """
 
 from __future__ import annotations
@@ -46,7 +55,17 @@ PROMPT_VERSION = "1"
 
 _TOKEN_RE = re.compile(r"\S+")
 
-SKETCH_PROMPT_TEMPLATE = """You are a careful logician working over a fixed set of statements.
+
+class Method(str, Enum):
+    """The compared methods: three prompting baselines, then the pipeline."""
+
+    ZERO_SHOT = "ZeroShot"
+    SHORT_COT = "ShortCoT"
+    LONG_COT = "LongCoT"
+    PROOFSKETCH = "ProofSketch"
+
+
+_PROMPT_TEMPLATE = """{opening}
 
 STATEMENTS:
 {theory}
@@ -54,69 +73,36 @@ STATEMENTS:
 QUESTION:
 {question}
 
-Reply with exactly one JSON object and nothing else, in this schema:
-{{"answer": "True|False|Unknown", "claims": ["<entity> is <attribute>", ...]}}
+{instruction}
+"""
+
+_SKETCH_OPENING = "You are a careful logician working over a fixed set of statements."
+
+_SKETCH_INSTRUCTION = """Reply with exactly one JSON object and nothing else, in this schema:
+{"answer": "True|False|Unknown", "claims": ["<entity> is <attribute>", ...]}
 
 Requirements:
 - "answer" must be exactly one of True, False, Unknown.
 - Each claim is one short sentence, "<entity> is <attribute>" or "<entity> is not <attribute>", using only entities and attributes that appear in the STATEMENTS.
-- Give at most 3 claims, each about the entity named in the QUESTION.
-"""
+- Give at most 3 claims, each about the entity named in the QUESTION."""
 
-ZERO_SHOT_PROMPT_TEMPLATE = """Read the statements and answer the question.
+_BASELINE_OPENING = "Read the statements and answer the question."
 
-STATEMENTS:
-{theory}
+_ANSWER_LINE = "then finish with a final line of the form:\nAnswer: True|False|Unknown"
 
-QUESTION:
-{question}
-
-Respond with exactly one of True, False, Unknown and nothing else.
-"""
-
-SHORT_COT_PROMPT_TEMPLATE = """Read the statements and answer the question.
-
-STATEMENTS:
-{theory}
-
-QUESTION:
-{question}
-
-Write at most 3 short reasoning lines, then finish with a final line of the form:
-Answer: True|False|Unknown
-"""
-
-LONG_COT_PROMPT_TEMPLATE = """Read the statements and answer the question.
-
-STATEMENTS:
-{theory}
-
-QUESTION:
-{question}
-
-Work through the problem in up to 10 numbered steps, citing the statements you use, then finish with a final line of the form:
-Answer: True|False|Unknown
-"""
-
-
-class BaselineMode(str, Enum):
-    ZERO_SHOT = "ZeroShot"
-    SHORT_COT = "ShortCoT"
-    LONG_COT = "LongCoT"
-
-
-# Completion budgets for the baseline modes: answer-only, a few lines,
-# room for a full derivation.
-BASELINE_BUDGETS: dict[BaselineMode, int] = {
-    BaselineMode.ZERO_SHOT: 16,
-    BaselineMode.SHORT_COT: 128,
-    BaselineMode.LONG_COT: 384,
+_BASELINE_INSTRUCTIONS = {
+    Method.ZERO_SHOT: "Respond with exactly one of True, False, Unknown and nothing else.",
+    Method.SHORT_COT: f"Write at most 3 short reasoning lines, {_ANSWER_LINE}",
+    Method.LONG_COT: "Work through the problem in up to 10 numbered steps, citing the "
+                     f"statements you use, {_ANSWER_LINE}",
 }
 
-_BASELINE_TEMPLATES = {
-    BaselineMode.ZERO_SHOT: ZERO_SHOT_PROMPT_TEMPLATE,
-    BaselineMode.SHORT_COT: SHORT_COT_PROMPT_TEMPLATE,
-    BaselineMode.LONG_COT: LONG_COT_PROMPT_TEMPLATE,
+# Completion budgets for the baselines: answer-only, a few lines, room for
+# a full derivation.
+BASELINE_BUDGETS: dict[Method, int] = {
+    Method.ZERO_SHOT: 16,
+    Method.SHORT_COT: 128,
+    Method.LONG_COT: 384,
 }
 
 
@@ -165,12 +151,11 @@ class GenerationResponse:
 class Generator(Protocol):
     """Minimal backend contract: a name and one synchronous call.
 
-    Implementations that are not safe for concurrent generate() calls set
-    thread_safe to False and rely on thread_safe_generator for locking.
+    A backend that one run shares across questions must be safe for
+    concurrent generate() calls; it guards its own state.
     """
 
     name: str
-    thread_safe: bool
 
     def generate(self, request: GenerationRequest) -> GenerationResponse: ...
 
@@ -188,15 +173,18 @@ def truncate_to_tokens(text: str, max_tokens: int) -> str:
     return text
 
 
+def _render_prompt(opening: str, theory: Theory, question: Question, instruction: str) -> str:
+    theory_text = theory.source_text or theory.to_text()
+    return _PROMPT_TEMPLATE.format(opening=opening, theory=theory_text.strip(),
+                                   question=question.raw_text.strip(), instruction=instruction)
+
+
 def build_sketch_prompt(theory: Theory, question: Question) -> str:
-    theory_text = theory.source_text or theory.to_text()
-    return SKETCH_PROMPT_TEMPLATE.format(theory=theory_text.strip(), question=question.raw_text.strip())
+    return _render_prompt(_SKETCH_OPENING, theory, question, _SKETCH_INSTRUCTION)
 
 
-def build_baseline_prompt(theory: Theory, question: Question, mode: BaselineMode) -> str:
-    theory_text = theory.source_text or theory.to_text()
-    template = _BASELINE_TEMPLATES[mode]
-    return template.format(theory=theory_text.strip(), question=question.raw_text.strip())
+def build_baseline_prompt(theory: Theory, question: Question, method: Method) -> str:
+    return _render_prompt(_BASELINE_OPENING, theory, question, _BASELINE_INSTRUCTIONS[method])
 
 
 def select_budget(closure: Closure, question: Question, config: "PipelineConfig") -> int:
@@ -231,10 +219,9 @@ class ScriptedGenerator:
     """Replays a fixed response list, in order.
 
     strict mode raises ScriptExhaustedError past the end; otherwise the
-    script cycles. Stateful, so not thread safe.
+    script cycles. A run shares one instance across questions, so the
+    cursor is guarded by a lock: concurrent calls each take one response.
     """
-
-    thread_safe = False
 
     def __init__(self, script: Sequence[str], *, strict: bool = True,
                  name: str = "scripted") -> None:
@@ -243,6 +230,7 @@ class ScriptedGenerator:
         self._script = [str(item) for item in script]
         self._strict = strict
         self._cursor = 0
+        self._lock = threading.Lock()
         self.name = name
 
     @property
@@ -250,14 +238,15 @@ class ScriptedGenerator:
         return self._cursor
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
-        position = self._cursor
-        if position >= len(self._script):
-            if self._strict:
-                raise ScriptExhaustedError(
-                    f"script exhausted after {len(self._script)} responses"
-                )
-            position %= len(self._script)
-        self._cursor += 1
+        with self._lock:
+            position = self._cursor
+            if position >= len(self._script):
+                if self._strict:
+                    raise ScriptExhaustedError(
+                        f"script exhausted after {len(self._script)} responses"
+                    )
+                position %= len(self._script)
+            self._cursor += 1
         text = self._script[position]
         return GenerationResponse(text=text, completion_tokens=count_tokens(text))
 
@@ -291,10 +280,9 @@ class OracleGenerator:
     exists to produce certifiable sketches. The noise draws happen in a
     fixed order per call (malform, answer flip, then one corruption draw
     per claim), so equal seeds give byte-identical output streams.
-    Stateful RNG: not thread safe.
+    Each instance serves one (closure, question) pair and no caller
+    shares it across threads, so its RNG needs no lock.
     """
-
-    thread_safe = False
 
     def __init__(self, closure: Closure, question: Question,
                  noise: OracleNoiseConfig | None = None, *, name: str = "oracle") -> None:
@@ -334,10 +322,9 @@ class HttpGenerator:
     Transport failures and 5xx responses are retried with exponential
     backoff plus jitter; 4xx responses and deadline overruns fail
     immediately. The API key is read from the named environment variable
-    at call time and never logged. max_in_flight bounds concurrency.
+    at call time and never logged. max_in_flight bounds concurrency;
+    instances are safe to share across threads.
     """
-
-    thread_safe = True
 
     def __init__(self, endpoint_url: str, model_name: str, *,
                  api_key_env: str = "PROOFSKETCH_API_KEY",
@@ -443,24 +430,3 @@ class HttpGenerator:
         assert last_error is not None
         raise last_error
 
-
-class _ExclusiveGenerator:
-    """Serializes access to a generator that is not thread safe."""
-
-    thread_safe = True
-
-    def __init__(self, inner: Generator) -> None:
-        self._inner = inner
-        self._lock = threading.Lock()
-        self.name = inner.name
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        with self._lock:
-            return self._inner.generate(request)
-
-
-def thread_safe_generator(generator: Generator) -> Generator:
-    """Wrap serial generators in a lock; pass thread-safe ones through."""
-    if getattr(generator, "thread_safe", False):
-        return generator
-    return _ExclusiveGenerator(generator)

@@ -7,10 +7,13 @@ always states exactly which inputs it covered. Loading parses and closes
 each distinct theory text once; every record about that theory shares
 the closure, which every method then reads instead of the text.
 
-Four methods are compared: three prompting baselines (answer-only, a few
-reasoning lines, a long derivation) and the verification-guided sketch
-pipeline. Metrics per method: accuracy, certification rate, mean
-completion tokens, nearest-rank 95th-percentile tokens, mean latency.
+Four methods are compared (generation.Method): three prompting baselines
+(answer-only, a few reasoning lines, a long derivation) and the
+verification-guided sketch pipeline. evaluate runs every (method, record)
+pair through one loop, on one thread pool when workers > 1, and returns
+the results method-major in dataset order. Metrics per method: accuracy,
+certification rate, mean completion tokens, nearest-rank 95th-percentile
+tokens, mean latency.
 Token savings between two methods is 1 - mean_a / mean_b on mean tokens;
 a per-example variant averaging per-record ratios is available
 separately, and the two can differ by about a point on real runs.
@@ -24,19 +27,11 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .closure import Closure, forward_chain
-from .generation import (
-    BASELINE_BUDGETS,
-    BaselineMode,
-    Generator,
-    build_baseline_prompt,
-    request_sketch,
-    thread_safe_generator,
-)
+from .generation import BASELINE_BUDGETS, Generator, Method, build_baseline_prompt, request_sketch
 from .selector import Certification, PipelineConfig, run_pipeline
 from .sketch import last_label_word
 from .theory import Label, ParseError, Question, parse_question, parse_theory_nl
@@ -48,20 +43,6 @@ class EmptyDatasetError(ValueError):
 
 class EmptyInputError(ValueError):
     """An aggregate was requested over zero records."""
-
-
-class Method(str, Enum):
-    ZERO_SHOT = "ZeroShot"
-    SHORT_COT = "ShortCoT"
-    LONG_COT = "LongCoT"
-    PROOFSKETCH = "ProofSketch"
-
-
-_BASELINE_FOR_METHOD = {
-    Method.ZERO_SHOT: BaselineMode.ZERO_SHOT,
-    Method.SHORT_COT: BaselineMode.SHORT_COT,
-    Method.LONG_COT: BaselineMode.LONG_COT,
-}
 
 
 @dataclass(frozen=True)
@@ -199,17 +180,17 @@ def extract_label(text: str) -> tuple[Label, bool]:
 GeneratorFactory = Callable[[DatasetRecord], Generator]
 
 
-def run_baseline(record: DatasetRecord, mode: BaselineMode,
+def run_baseline(record: DatasetRecord, method: Method,
                  generator: Generator) -> EvalRecord:
     """Evaluate one record with a single budgeted baseline completion."""
     started = time.perf_counter()
-    prompt = build_baseline_prompt(record.closure.theory, record.question, mode)
-    raw = request_sketch(generator, prompt, BASELINE_BUDGETS[mode], temperature=0.0)
+    prompt = build_baseline_prompt(record.closure.theory, record.question, method)
+    raw = request_sketch(generator, prompt, BASELINE_BUDGETS[method], temperature=0.0)
     predicted, unparseable = extract_label(raw.text)
     latency_ms = (time.perf_counter() - started) * 1000.0
     return EvalRecord(
         record_id=record.record_id,
-        method=Method(mode.value),
+        method=method,
         predicted=predicted,
         correct=predicted is record.gold_label,
         certified=False,
@@ -241,30 +222,27 @@ def run_proofsketch(record: DatasetRecord, config: PipelineConfig,
 def evaluate(records: Sequence[DatasetRecord], methods: Sequence[Method],
              config: PipelineConfig, generator_factory: GeneratorFactory,
              workers: int = 1) -> list[EvalRecord]:
-    """Run the requested methods over the dataset, in stable order.
+    """Run every (method, record) pair, method-major in dataset order.
 
-    With workers above 1, records of one method run concurrently; serial
-    generators are wrapped in an exclusive-access guard.
+    With workers above 1, all pairs share one thread pool, so a generator
+    the factory hands to several records must be safe for concurrent
+    calls. Results keep the same order at any worker count.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
-    def run_one(method: Method, record: DatasetRecord) -> EvalRecord:
+    def run_one(pair: tuple[Method, DatasetRecord]) -> EvalRecord:
+        method, record = pair
         generator = generator_factory(record)
-        if workers > 1:
-            generator = thread_safe_generator(generator)
         if method is Method.PROOFSKETCH:
             return run_proofsketch(record, config, generator)
-        return run_baseline(record, _BASELINE_FOR_METHOD[method], generator)
+        return run_baseline(record, method, generator)
 
-    results: list[EvalRecord] = []
-    for method in methods:
-        if workers == 1:
-            results.extend(run_one(method, record) for record in records)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results.extend(pool.map(lambda r: run_one(method, r), records))
-    return results
+    pairs = [(method, record) for method in methods for record in records]
+    if workers == 1:
+        return list(map(run_one, pairs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_one, pairs))
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,8 @@ class InconsistentFactsError(ValueError):
 
 
 class SchemaError(ValueError):
-    """A structured theory document is missing or mis-typing a field."""
+    """A structured theory document or a --config file is missing or
+    mis-typing a field."""
 
 
 def canonicalize_symbol(raw: str) -> str:

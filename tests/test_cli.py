@@ -36,6 +36,14 @@ DATASET_ROWS = [
 ]
 
 
+def _error_line(capsys) -> str:
+    """The one stderr line a failed command prints."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("proofsketch: error: ")
+    return lines[0]
+
+
 @pytest.fixture()
 def dataset(tmp_path):
     path = tmp_path / "data.jsonl"
@@ -180,8 +188,8 @@ class TestAnswerCommand:
             argv = ["answer", str(theory_file), "--question", "Is Bob kind?",
                     "--backend", "http", "--config", str(config)]
             # max_retries 0: the 500 is not retried.
-            with pytest.raises(proofsketch.GeneratorError):
-                main(argv)
+            assert main(argv) == 2
+            assert _error_line(capsys) == "proofsketch: error: server error 500"
             assert main(argv) == 0
         finally:
             endpoint.close()
@@ -234,9 +242,9 @@ class TestEvalCommand:
         assert out.startswith("method,metric,value")
         assert "ProofSketch,accuracy,1.00" in out
 
-    def test_missing_dataset_errors(self, tmp_path) -> None:
-        with pytest.raises(OSError):
-            main(["eval", str(tmp_path / "nope.jsonl")])
+    def test_missing_dataset_errors(self, tmp_path, capsys) -> None:
+        assert main(["eval", str(tmp_path / "nope.jsonl")]) == 2
+        assert "nope.jsonl" in _error_line(capsys)
 
     def test_scripted_eval_deterministic(self, dataset, tmp_path) -> None:
         script = tmp_path / "script.json"
@@ -264,6 +272,52 @@ class TestEvalCommand:
             return rows
 
         assert stripped_records(dirs[0]) == stripped_records(dirs[1])
+
+
+class TestUserErrors:
+    def test_missing_theory_file(self, tmp_path, capsys) -> None:
+        assert main(["answer", str(tmp_path / "nope.txt"), "--question", "Is Anne kind?"]) == 2
+        assert "nope.txt" in _error_line(capsys)
+
+    def test_missing_config_file(self, theory_file, tmp_path, capsys) -> None:
+        argv = ["answer", str(theory_file), "--question", "Is Anne kind?",
+                "--config", str(tmp_path / "nope.json")]
+        assert main(argv) == 2
+        assert "nope.json" in _error_line(capsys)
+
+    def test_unparseable_theory(self, tmp_path, capsys) -> None:
+        path = tmp_path / "bad.txt"
+        path.write_text("Anne is.\n", encoding="utf-8")
+        assert main(["closure", str(path)]) == 2
+        _error_line(capsys)
+
+    @pytest.mark.parametrize("doc, backend, message", [
+        ({"max_sketches": "2"}, [], "config key 'max_sketches' must be an integer"),
+        ({"timeout_ms": "5"},
+         ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+          "--model", "m"],
+         "config key 'timeout_ms' must be a number"),
+        ({"closure_short_circuit": "no"}, [],
+         "config key 'closure_short_circuit' must be a boolean"),
+    ])
+    def test_config_value_types(self, theory_file, tmp_path, capsys, doc, backend,
+                                message) -> None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["answer", str(theory_file), "--question", "Is Bob kind?",
+                "--config", str(config), *backend]
+        assert main(argv) == 2
+        assert _error_line(capsys) == f"proofsketch: error: {message}"
+
+    def test_config_type_edges(self, theory_file, tmp_path, capsys) -> None:
+        config = tmp_path / "config.json"
+        argv = ["answer", str(theory_file), "--question", "Is Bob kind?", "--config", str(config)]
+        config.write_text(json.dumps({"fixed_budget": None, "temperature": 0}), encoding="utf-8")
+        assert main(argv) == 0
+        capsys.readouterr()
+        config.write_text(json.dumps({"max_sketches": True}), encoding="utf-8")
+        assert main(argv) == 2
+        assert _error_line(capsys).endswith("'max_sketches' must be an integer")
 
 
 class TestAblateCommand:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import sys
 import threading
 import time
 
@@ -16,7 +17,6 @@ import pytest
 
 from proofsketch import (
     BASELINE_BUDGETS,
-    BaselineMode,
     GenerationRequest,
     GenerationTimeout,
     Generator,
@@ -24,6 +24,7 @@ from proofsketch import (
     HttpGenerator,
     Label,
     Literal,
+    Method,
     OracleGenerator,
     OracleNoiseConfig,
     ParseStatus,
@@ -42,7 +43,6 @@ from proofsketch import (
     parse_theory_nl,
     request_sketch,
     select_budget,
-    thread_safe_generator,
     truncate_to_tokens,
 )
 
@@ -68,27 +68,64 @@ class TestPrompts:
         assert "Anne is big." in prompt
 
     def test_answer_only_prompt(self) -> None:
-        prompt = build_baseline_prompt(THEORY, QUESTION, BaselineMode.ZERO_SHOT)
+        prompt = build_baseline_prompt(THEORY, QUESTION, Method.ZERO_SHOT)
         assert "exactly one of True, False, Unknown" in prompt
         assert "reasoning" not in prompt.lower()
 
     def test_few_line_prompt(self) -> None:
-        prompt = build_baseline_prompt(THEORY, QUESTION, BaselineMode.SHORT_COT)
+        prompt = build_baseline_prompt(THEORY, QUESTION, Method.SHORT_COT)
         assert "at most 3" in prompt
         assert "Answer:" in prompt
 
     def test_long_derivation_prompt(self) -> None:
-        prompt = build_baseline_prompt(THEORY, QUESTION, BaselineMode.LONG_COT)
+        prompt = build_baseline_prompt(THEORY, QUESTION, Method.LONG_COT)
         assert "10" in prompt
         assert "Answer:" in prompt
 
     def test_baseline_budgets(self) -> None:
-        assert BASELINE_BUDGETS[BaselineMode.ZERO_SHOT] == 16
-        assert BASELINE_BUDGETS[BaselineMode.SHORT_COT] == 128
-        assert BASELINE_BUDGETS[BaselineMode.LONG_COT] == 384
+        assert BASELINE_BUDGETS[Method.ZERO_SHOT] == 16
+        assert BASELINE_BUDGETS[Method.SHORT_COT] == 128
+        assert BASELINE_BUDGETS[Method.LONG_COT] == 384
 
     def test_prompt_version_is_stamped(self) -> None:
         assert isinstance(PROMPT_VERSION, str) and PROMPT_VERSION
+
+    def test_prompts_are_pinned(self) -> None:
+        # Full text of every prompt under PROMPT_VERSION "1": any change to
+        # the wording must bump the version and update this test.
+        inputs = (
+            "STATEMENTS:\n"
+            "Anne is big. Bob is round. If someone is big then they are kind.\n\n"
+            "QUESTION:\nIs Anne kind?\n\n"
+        )
+        baseline_head = "Read the statements and answer the question.\n\n" + inputs
+        answer_line = "then finish with a final line of the form:\nAnswer: True|False|Unknown\n"
+        assert PROMPT_VERSION == "1"
+        assert build_sketch_prompt(THEORY, QUESTION) == (
+            "You are a careful logician working over a fixed set of statements.\n\n"
+            + inputs
+            + "Reply with exactly one JSON object and nothing else, in this schema:\n"
+            '{"answer": "True|False|Unknown", "claims": ["<entity> is <attribute>", ...]}\n\n'
+            "Requirements:\n"
+            '- "answer" must be exactly one of True, False, Unknown.\n'
+            '- Each claim is one short sentence, "<entity> is <attribute>" or '
+            '"<entity> is not <attribute>", using only entities and attributes that '
+            "appear in the STATEMENTS.\n"
+            "- Give at most 3 claims, each about the entity named in the QUESTION.\n"
+        )
+        assert build_baseline_prompt(THEORY, QUESTION, Method.ZERO_SHOT) == (
+            baseline_head + "Respond with exactly one of True, False, Unknown and nothing else.\n"
+        )
+        assert build_baseline_prompt(THEORY, QUESTION, Method.SHORT_COT) == (
+            baseline_head + "Write at most 3 short reasoning lines, " + answer_line
+        )
+        assert build_baseline_prompt(THEORY, QUESTION, Method.LONG_COT) == (
+            baseline_head + "Work through the problem in up to 10 numbered steps, "
+            "citing the statements you use, " + answer_line
+        )
+        assert {method.value: budget for method, budget in BASELINE_BUDGETS.items()} == {
+            "ZeroShot": 16, "ShortCoT": 128, "LongCoT": 384,
+        }
 
 
 class TestTokenAccounting:
@@ -127,7 +164,6 @@ class TestRequestSketch:
     def test_misreported_count_still_clamped(self) -> None:
         class Bragger:
             name = "bragger"
-            thread_safe = True
 
             def generate(self, request: GenerationRequest):
                 from proofsketch import GenerationResponse
@@ -473,34 +509,33 @@ class TestHttpGenerator:
 
 
 class TestThreadSafety:
-    def test_thread_safe_backend_passes_through(self, stub) -> None:
-        client = _client(stub)
-        assert thread_safe_generator(client) is client
-
-    def test_serial_backend_gets_wrapped(self) -> None:
-        scripted = ScriptedGenerator(["a"], strict=False)
-        wrapped = thread_safe_generator(scripted)
-        assert wrapped is not scripted
-        assert wrapped.thread_safe
-        assert wrapped.name == scripted.name
-
     def test_wrapped_generator_serializes_calls(self) -> None:
-        scripted = ScriptedGenerator([f"item {i}" for i in range(200)], strict=True)
-        wrapped = thread_safe_generator(scripted)
+        # A run shares one scripted generator across questions; its own
+        # lock hands each concurrent call a distinct response.
+        script = [f"item {i}" for i in range(200)]
+        scripted = ScriptedGenerator(script, strict=True)
         request = GenerationRequest(prompt="p", max_tokens=10)
         errors: list[Exception] = []
+        texts: list[str] = []
 
         def hammer() -> None:
             try:
                 for _ in range(50):
-                    wrapped.generate(request)
+                    texts.append(scripted.generate(request).text)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert scripted.calls == 200
+        assert sorted(texts) == sorted(script)

@@ -44,7 +44,6 @@ from proofsketch import (
     token_savings,
     write_run,
 )
-from proofsketch.generation import BaselineMode
 
 from helpers import record_for
 
@@ -164,7 +163,7 @@ class TestRunBaseline:
 
     def test_correct_completion(self) -> None:
         generator = ScriptedGenerator(["Anne is big, so she is kind.\nAnswer: True"])
-        row = run_baseline(self.RECORD, BaselineMode.SHORT_COT, generator)
+        row = run_baseline(self.RECORD, Method.SHORT_COT, generator)
         assert row.method is Method.SHORT_COT
         assert row.predicted is Label.TRUE
         assert row.correct and not row.certified and not row.unparseable
@@ -173,19 +172,19 @@ class TestRunBaseline:
 
     def test_unparseable_completion(self) -> None:
         generator = ScriptedGenerator(["mumble mumble"])
-        row = run_baseline(self.RECORD, BaselineMode.ZERO_SHOT, generator)
+        row = run_baseline(self.RECORD, Method.ZERO_SHOT, generator)
         assert row.predicted is Label.UNKNOWN
         assert not row.correct
         assert row.unparseable
 
     def test_budget_clamps_tokens(self) -> None:
         generator = ScriptedGenerator(["word " * 500])
-        row = run_baseline(self.RECORD, BaselineMode.ZERO_SHOT, generator)
+        row = run_baseline(self.RECORD, Method.ZERO_SHOT, generator)
         assert row.tokens == 16
 
     def test_long_mode_budget(self) -> None:
         generator = ScriptedGenerator(["word " * 500 + "Answer: True"])
-        row = run_baseline(self.RECORD, BaselineMode.LONG_COT, generator)
+        row = run_baseline(self.RECORD, Method.LONG_COT, generator)
         assert row.tokens == 384
 
 
@@ -250,19 +249,23 @@ class TestEvaluate:
         assert [row.record_id for row in rows[4:]] == [r.record_id for r in records]
 
     def test_workers_match_serial(self) -> None:
+        # Every (method, record) pair shares one pool; rows stay method-major.
         records = _tiny_dataset()
-        serial = evaluate(records, [Method.PROOFSKETCH], PipelineConfig(), _oracle_factory())
-        threaded = evaluate(
-            records, [Method.PROOFSKETCH], PipelineConfig(), _oracle_factory(), workers=4
-        )
+        methods = list(Method)
+        serial = evaluate(records, methods, PipelineConfig(), _oracle_factory())
+        threaded = evaluate(records, methods, PipelineConfig(), _oracle_factory(), workers=4)
 
         def strip(rows):
             return [
-                (r.record_id, r.predicted, r.correct, r.certified, r.tokens, r.generator_calls)
+                (r.method, r.record_id, r.predicted, r.correct, r.certified, r.tokens,
+                 r.generator_calls)
                 for r in rows
             ]
 
         assert strip(serial) == strip(threaded)
+        assert [(r.method, r.record_id) for r in threaded] == [
+            (method, record.record_id) for method in methods for record in records
+        ]
 
     def test_zero_workers_rejected(self) -> None:
         with pytest.raises(ValueError):

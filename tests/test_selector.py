@@ -362,7 +362,6 @@ class TestRunPipeline:
     def test_generator_error_carries_accounting(self) -> None:
         class Flaky:
             name = "flaky"
-            thread_safe = True
 
             def __init__(self) -> None:
                 self.calls = 0
