@@ -10,10 +10,12 @@ latency.
 
 from .closure import (
     Closure,
+    VerdictStatus,
     brute_force_closure,
     decide_from_closure,
     entity_has_closure_facts,
     forward_chain,
+    verify_claim,
 )
 from .generation import (
     BASELINE_BUDGETS,
@@ -33,7 +35,6 @@ from .generation import (
     build_sketch_prompt,
     count_tokens,
     request_sketch,
-    select_budget,
     truncate_to_tokens,
 )
 from .harness import (
@@ -65,16 +66,14 @@ from .harness import (
 from .selector import (
     AnswerSource,
     Certification,
-    ClaimVerdict,
     PipelineConfig,
     PipelineResult,
     ScoreTuple,
     ScoredSketch,
-    VerdictStatus,
     compare_scores,
     run_pipeline,
     score_sketch,
-    verify_claim,
+    select_budget,
 )
 from .sketch import (
     ParseStatus,
@@ -85,7 +84,6 @@ from .sketch import (
     parse_sketch,
 )
 from .theory import (
-    ClosureDecision,
     EmptySymbolError,
     InconsistentFactsError,
     Label,

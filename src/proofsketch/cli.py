@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 import zlib
-from dataclasses import asdict, fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -43,9 +43,14 @@ _CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
     **dict.fromkeys(("endpoint_url", "model_name", "api_key_env"), ((str,), "a string")),
 }
 
+
+class UsageError(Exception):
+    """A command-line argument or config value the command cannot run with."""
+
+
 # Bad input from the user: one stderr line and exit status 2.
-_USER_ERRORS = (OSError, json.JSONDecodeError, ParseError, SchemaError, InconsistentFactsError,
-                EmptyDatasetError, GeneratorError)
+_USER_ERRORS = (UsageError, OSError, json.JSONDecodeError, ParseError, SchemaError,
+                InconsistentFactsError, EmptyDatasetError, GeneratorError)
 
 
 def _load_theory_file(path: str):
@@ -61,15 +66,18 @@ def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
         return {}, PipelineConfig()
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
-        raise SystemExit("config file must hold a JSON object")
+        raise UsageError("config file must hold a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_TYPES))
     if unknown:
-        raise SystemExit(f"config file has unknown key(s): {', '.join(unknown)}")
+        raise UsageError(f"config file has unknown key(s): {', '.join(unknown)}")
     for key, value in doc.items():
         types, described = _CONFIG_TYPES[key]
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             raise SchemaError(f"config key {key!r} must be {described}")
-    return doc, PipelineConfig(**{key: doc[key] for key in doc.keys() & _PIPELINE_KEYS})
+    try:
+        return doc, PipelineConfig(**{key: doc[key] for key in doc.keys() & _PIPELINE_KEYS})
+    except ValueError as exc:
+        raise UsageError(f"config file: {exc}") from exc
 
 
 def _record_seed(base_seed: int, record_id: str) -> int:
@@ -83,33 +91,36 @@ def _generator_for(args: argparse.Namespace,
     scripted and http backends are one instance shared by every question."""
     if args.backend == "scripted":
         if not args.script:
-            raise SystemExit("--backend scripted requires --script <file>")
+            raise UsageError("--backend scripted requires --script <file>")
         script = json.loads(Path(args.script).read_text(encoding="utf-8"))
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
-            raise SystemExit("script file must hold a JSON array of strings")
+            raise UsageError("script file must hold a JSON array of strings")
         shared = ScriptedGenerator(script, strict=False)
     elif args.backend == "http":
         endpoint = args.endpoint or config_doc.get("endpoint_url")
         model = args.model or config_doc.get("model_name")
         if not endpoint or not model:
-            raise SystemExit("--backend http requires --endpoint and --model")
-        shared = HttpGenerator(
-            endpoint,
-            model,
-            api_key_env=config_doc.get("api_key_env", "PROOFSKETCH_API_KEY"),
-            timeout_ms=config_doc.get("timeout_ms", 30000.0),
-            max_retries=config_doc.get("max_retries", 2),
-            max_in_flight=config_doc.get("max_in_flight", 4),
-        )
-    else:
-        def make_oracle(closure: Closure, question: Question, seed: int) -> Generator:
-            noise = OracleNoiseConfig(
-                flip_answer_prob=args.flip,
-                corrupt_claim_prob=args.corrupt,
-                malform_prob=args.malform,
-                seed=seed,
+            raise UsageError("--backend http requires --endpoint and --model")
+        try:
+            shared = HttpGenerator(
+                endpoint,
+                model,
+                api_key_env=config_doc.get("api_key_env", "PROOFSKETCH_API_KEY"),
+                timeout_ms=config_doc.get("timeout_ms", 30000.0),
+                max_retries=config_doc.get("max_retries", 2),
+                max_in_flight=config_doc.get("max_in_flight", 4),
             )
-            return OracleGenerator(closure, question, noise)
+        except ValueError as exc:
+            raise UsageError(f"config file: {exc}") from exc
+    else:
+        try:
+            noise = OracleNoiseConfig(flip_answer_prob=args.flip, corrupt_claim_prob=args.corrupt,
+                                      malform_prob=args.malform)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+
+        def make_oracle(closure: Closure, question: Question, seed: int) -> Generator:
+            return OracleGenerator(closure, question, replace(noise, seed=seed))
 
         return make_oracle
     return lambda closure, question, seed: shared
@@ -196,15 +207,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _parse_budgets(spec: str) -> list[int]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise SystemExit("--budgets expects start:stop:step or a comma list")
-        start, stop, step = (int(part) for part in parts)
-        if step < 1 or stop < start:
-            raise SystemExit("--budgets range must be increasing with a positive step")
-        return list(range(start, stop + 1, step))
-    return [int(part) for part in spec.split(",") if part.strip()]
+    parts = spec.split(":") if ":" in spec else [p for p in spec.split(",") if p.strip()]
+    if not all(part.strip().isdecimal() and int(part) > 0 for part in parts):
+        raise UsageError("--budgets expects positive integers")
+    if ":" not in spec:
+        return [int(part) for part in parts]
+    if len(parts) != 3:
+        raise UsageError("--budgets expects start:stop:step or a comma list")
+    start, stop, step = (int(part) for part in parts)
+    if stop < start:
+        raise UsageError("--budgets range must be increasing with a positive step")
+    return list(range(start, stop + 1, step))
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
@@ -274,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError("--workers must be at least 1")
         return args.handler(args)
     except _USER_ERRORS as exc:
         message = " ".join(str(exc).split())

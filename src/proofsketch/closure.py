@@ -16,14 +16,26 @@ rules whose bodies mention a literal added in the previous round, and
 record for every literal the length of its shortest derivation.
 brute_force_closure re-applies every rule to every entity until nothing
 changes; it exists as an independent reference for equivalence testing.
+
+What the closure says about a literal is answered here only: verify_claim
+gives its verdict (Verified, Contradicted, Unsupported), and
+decide_from_closure reads a question's label off the verdicts of its
+target and the target's negation, Unknown meaning undecided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Mapping
 
-from .theory import ClosureDecision, Label, Literal, Polarity, Question, Rule, Theory
+from .theory import Label, Literal, Polarity, Question, Theory
+
+
+class VerdictStatus(str, Enum):
+    VERIFIED = "Verified"
+    CONTRADICTED = "Contradicted"
+    UNSUPPORTED = "Unsupported"
 
 
 @dataclass(frozen=True)
@@ -59,8 +71,7 @@ def forward_chain(theory: Theory) -> Closure:
     largest body depth of the rule instance that first produced it.
     Round-based evaluation makes that the minimum over all derivations.
     """
-    known: dict[Literal, int] = {literal: 0 for literal in theory.facts()}
-    entities = theory.entities()
+    known: dict[Literal, int] = {literal: 0 for literal in theory.facts}
 
     rules_by_condition: dict[tuple[str, Polarity], list[int]] = {}
     for index, rule in enumerate(theory.rules):
@@ -75,7 +86,6 @@ def forward_chain(theory: Theory) -> Closure:
                 found.add((index, literal.entity))
         return found
 
-    contradictory = _is_contradictory(frozenset(known))
     pending: set[tuple[int, str]] = set()
     for literal in known:
         pending |= candidates_for(literal)
@@ -84,8 +94,6 @@ def forward_chain(theory: Theory) -> Closure:
         fresh: dict[Literal, int] = {}
         for index, entity in pending:
             rule = theory.rules[index]
-            if entity not in entities:
-                continue
             body = [Literal(entity, attribute, polarity) for attribute, polarity in rule.body]
             if any(literal not in known for literal in body):
                 continue
@@ -98,15 +106,13 @@ def forward_chain(theory: Theory) -> Closure:
         known.update(fresh)
         pending = set()
         for literal in fresh:
-            if literal.negated() in known:
-                contradictory = True
             pending |= candidates_for(literal)
 
     literals = frozenset(known)
     return Closure(
         literals=literals,
         depth=known,
-        contradictory=contradictory,
+        contradictory=_is_contradictory(literals),
         entity_index=_index_by_entity(literals),
         theory=theory,
     )
@@ -118,15 +124,13 @@ def brute_force_closure(theory: Theory) -> Closure:
     Slower than forward_chain and records no depths; used to cross-check
     the production engine.
     """
-    literals: set[Literal] = set(theory.facts())
+    literals: set[Literal] = set(theory.facts)
     entities = theory.entities()
     changed = True
     while changed:
         changed = False
         for rule in theory.rules:
-            subjects = entities if rule.subject is None else (
-                (rule.subject,) if rule.subject in entities else ()
-            )
+            subjects = entities if rule.subject is None else (rule.subject,)
             for entity in subjects:
                 if all(
                     Literal(entity, attribute, polarity) in literals
@@ -146,24 +150,31 @@ def brute_force_closure(theory: Theory) -> Closure:
     )
 
 
-def decide_from_closure(closure: Closure, question: Question) -> ClosureDecision:
-    """Three-valued verdict for a question against a closure.
+def verify_claim(claim: Literal, closure: Closure) -> VerdictStatus:
+    """Check one claim against the closure.
 
-    The target literal present alone decides True; its negation present
-    alone decides False. Neither, or both (a contradictory pair), leaves
-    the question undecided with the Unknown label: a theory that proves
-    both polarities is not allowed to settle anything.
+    A claim whose negation is derivable is Contradicted even when the
+    claim itself is also derivable: refutation evidence outweighs support
+    inside a contradictory closure.
     """
-    target = question.target
-    affirmed = target in closure.literals
-    refuted = target.negated() in closure.literals
-    if affirmed and refuted:
-        return ClosureDecision(Label.UNKNOWN, decided=False)
-    if affirmed:
-        return ClosureDecision(Label.TRUE, decided=True)
-    if refuted:
-        return ClosureDecision(Label.FALSE, decided=True)
-    return ClosureDecision(Label.UNKNOWN, decided=False)
+    if claim.negated() in closure.literals:
+        return VerdictStatus.CONTRADICTED
+    if claim in closure.literals:
+        return VerdictStatus.VERIFIED
+    return VerdictStatus.UNSUPPORTED
+
+
+def decide_from_closure(closure: Closure, question: Question) -> Label:
+    """True when the target verifies, False when it is contradicted and not
+    itself derivable, else Unknown (undecided): neither polarity is
+    derivable, or both are, and a theory that proves both polarities is not
+    allowed to settle anything."""
+    verdict = verify_claim(question.target, closure)
+    if verdict is VerdictStatus.VERIFIED:
+        return Label.TRUE
+    if verdict is VerdictStatus.CONTRADICTED and question.target not in closure.literals:
+        return Label.FALSE
+    return Label.UNKNOWN
 
 
 def entity_has_closure_facts(closure: Closure, entity: str) -> bool:

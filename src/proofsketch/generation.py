@@ -38,16 +38,13 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import requests
 
-from .closure import Closure, decide_from_closure, entity_has_closure_facts
+from .closure import Closure, VerdictStatus, decide_from_closure, verify_claim
 from .sketch import RawSketch
 from .theory import Label, Literal, Question, Theory
-
-if TYPE_CHECKING:
-    from .selector import PipelineConfig
 
 logger = logging.getLogger(__name__)
 
@@ -187,20 +184,6 @@ def build_baseline_prompt(theory: Theory, question: Question, method: Method) ->
     return _render_prompt(_BASELINE_OPENING, theory, question, _BASELINE_INSTRUCTIONS[method])
 
 
-def select_budget(closure: Closure, question: Question, config: "PipelineConfig") -> int:
-    """Completion budget for one sketch request.
-
-    A fixed budget, when configured, wins outright. Otherwise questions
-    whose entity already has closure facts get the tighter budget: the
-    verifier has material to anchor on, so the sketch can be short.
-    """
-    if config.fixed_budget is not None:
-        return config.fixed_budget
-    if entity_has_closure_facts(closure, question.target.entity):
-        return config.budget_anchored
-    return config.budget_unanchored
-
-
 def request_sketch(generator: Generator, prompt: str, max_tokens: int,
                    temperature: float) -> RawSketch:
     """One budgeted generator call, clamped so token_count <= max_tokens."""
@@ -289,10 +272,10 @@ class OracleGenerator:
         self._noise = noise or OracleNoiseConfig()
         self._rng = random.Random(self._noise.seed)
         self.name = name
-        self._label = decide_from_closure(closure, question).label
+        self._label = decide_from_closure(closure, question)
         anchored = closure.entity_index.get(question.target.entity, frozenset())
         ordered = sorted(
-            (l for l in anchored if l.negated() not in closure.literals),
+            (l for l in anchored if verify_claim(l, closure) is VerdictStatus.VERIFIED),
             key=lambda l: (closure.depth.get(l, 0), l.attribute, l.polarity.value),
         )
         self._claims: tuple[Literal, ...] = tuple(ordered[:3])
@@ -336,6 +319,8 @@ class HttpGenerator:
                  name: str | None = None) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        if max_in_flight < 1 or timeout_ms <= 0:
+            raise ValueError("max_in_flight and timeout_ms must be positive")
         self._endpoint_url = endpoint_url
         self._model_name = model_name
         self._api_key_env = api_key_env

@@ -11,24 +11,25 @@ The score orders sketches by full certification, then number of verified
 claims, then fewer generated tokens, then consistency (no contradicted
 claim, and agreement with the closure when the closure has an opinion).
 Ties keep the earliest sketch.
+
+Claim verdicts and the closure's decision come from closure.py; a run
+decides its question once and hands the decision to every score. A
+result's certification is derived, not stored: Certified when the closure
+or a fully verified sketch answered, else Partial or Uncertified by
+whether any claim verified.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
-from .closure import Closure, decide_from_closure
-from .generation import Generator, GeneratorError, build_sketch_prompt, request_sketch, select_budget
+from .closure import (Closure, VerdictStatus, decide_from_closure, entity_has_closure_facts,
+                      verify_claim)
+from .generation import Generator, GeneratorError, build_sketch_prompt, request_sketch
 from .sketch import ParsedSketch, RawSketch, anchor_claims, parse_sketch
 from .theory import Label, Literal, Question
-
-
-class VerdictStatus(str, Enum):
-    VERIFIED = "Verified"
-    CONTRADICTED = "Contradicted"
-    UNSUPPORTED = "Unsupported"
 
 
 class Certification(str, Enum):
@@ -42,12 +43,6 @@ class AnswerSource(str, Enum):
     CERTIFIED_SKETCH = "CertifiedSketch"
     BEST_SKETCH = "BestSketch"
     CLOSURE_CORRECTION = "ClosureCorrection"
-
-
-@dataclass(frozen=True)
-class ClaimVerdict:
-    claim: Literal
-    status: VerdictStatus
 
 
 @dataclass(frozen=True)
@@ -86,19 +81,18 @@ class ScoredSketch:
     """One generated sketch with its verdicts and score.
 
     index is the zero-based generation order inside a pipeline run; it
-    feeds the stability tie-break and the audit trail.
+    feeds the stability tie-break and the audit trail. verdicts[i] is the
+    verdict on parsed.claims[i].
     """
 
     index: int
     raw: RawSketch
     parsed: ParsedSketch
-    verdicts: tuple[ClaimVerdict, ...]
+    verdicts: tuple[VerdictStatus, ...]
     score: ScoreTuple
 
     def __post_init__(self) -> None:
         if len(self.verdicts) != len(self.parsed.claims):
-            raise ValueError("verdicts must align one-to-one with claims")
-        if any(v.claim != c for v, c in zip(self.verdicts, self.parsed.claims)):
             raise ValueError("verdicts must align one-to-one with claims")
 
 
@@ -141,11 +135,24 @@ class PipelineConfig:
         return self.fixed_budget is None
 
 
+def select_budget(closure: Closure, question: Question, config: PipelineConfig) -> int:
+    """Completion budget for one sketch request.
+
+    A fixed budget, when configured, wins outright. Otherwise questions
+    whose entity already has closure facts get the tighter budget: the
+    verifier has material to anchor on, so the sketch can be short.
+    """
+    if config.fixed_budget is not None:
+        return config.fixed_budget
+    if entity_has_closure_facts(closure, question.target.entity):
+        return config.budget_anchored
+    return config.budget_unanchored
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     answer: Label
     verified_claims: tuple[Literal, ...]
-    certification: Certification
     answer_source: AnswerSource
     generator_calls: int
     total_generated_tokens: int
@@ -153,13 +160,15 @@ class PipelineResult:
     sketches: tuple[ScoredSketch, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        if self.certification is Certification.CERTIFIED and self.answer_source not in (
-            AnswerSource.CLOSURE_SHORT_CIRCUIT,
-            AnswerSource.CERTIFIED_SKETCH,
-        ):
-            raise ValueError("a certified answer must come from the closure or a certified sketch")
         if self.generator_calls < 0 or self.total_generated_tokens < 0:
             raise ValueError("accounting fields must be non-negative")
+
+    @property
+    def certification(self) -> Certification:
+        if self.answer_source in (AnswerSource.CLOSURE_SHORT_CIRCUIT,
+                                  AnswerSource.CERTIFIED_SKETCH):
+            return Certification.CERTIFIED
+        return Certification.PARTIAL if self.verified_claims else Certification.UNCERTIFIED
 
     def to_json_dict(self) -> dict:
         """JSON-ready view including the per-sketch audit trail."""
@@ -178,46 +187,27 @@ class PipelineResult:
                     "parse_status": sketch.parsed.parse_status.value,
                     "claims": [claim.to_text() for claim in sketch.parsed.claims],
                     "verdicts": [
-                        {"claim": verdict.claim.to_text(), "status": verdict.status.value}
-                        for verdict in sketch.verdicts
+                        {"claim": claim.to_text(), "status": status.value}
+                        for claim, status in zip(sketch.parsed.claims, sketch.verdicts)
                     ],
                     "dropped_claims": sketch.parsed.dropped_claims,
                     "tokens": sketch.raw.token_count,
-                    "score": {
-                        "cert": sketch.score.cert,
-                        "verified_count": sketch.score.verified_count,
-                        "neg_tokens": sketch.score.neg_tokens,
-                        "consistency": sketch.score.consistency,
-                    },
+                    "score": asdict(sketch.score),
                 }
                 for sketch in self.sketches
             ],
         }
 
 
-def verify_claim(claim: Literal, closure: Closure) -> ClaimVerdict:
-    """Check one claim against the closure.
-
-    A claim whose negation is derivable is Contradicted even when the
-    claim itself is also derivable: refutation evidence outweighs support
-    inside a contradictory closure.
-    """
-    if claim.negated() in closure.literals:
-        return ClaimVerdict(claim, VerdictStatus.CONTRADICTED)
-    if claim in closure.literals:
-        return ClaimVerdict(claim, VerdictStatus.VERIFIED)
-    return ClaimVerdict(claim, VerdictStatus.UNSUPPORTED)
-
-
 def score_sketch(parsed: ParsedSketch, raw: RawSketch, closure: Closure,
-                 question: Question, *, index: int = 0) -> ScoredSketch:
-    """Verify a sketch's claims and attach its selection score."""
+                 decision: Label, *, index: int = 0) -> ScoredSketch:
+    """Verify a sketch's claims and attach its selection score; decision is
+    decide_from_closure's label for the question, Unknown if undecided."""
     verdicts = tuple(verify_claim(claim, closure) for claim in parsed.claims)
-    verified = sum(1 for verdict in verdicts if verdict.status is VerdictStatus.VERIFIED)
+    verified = verdicts.count(VerdictStatus.VERIFIED)
     cert = int(bool(verdicts) and verified == len(verdicts))
-    contradicted = any(v.status is VerdictStatus.CONTRADICTED for v in verdicts)
-    decision = decide_from_closure(closure, question)
-    agrees = (not decision.decided) or parsed.answer is decision.label
+    contradicted = VerdictStatus.CONTRADICTED in verdicts
+    agrees = decision is Label.UNKNOWN or parsed.answer is decision
     consistency = int(not contradicted and agrees)
     score = ScoreTuple(
         cert=cert,
@@ -232,7 +222,6 @@ def _closure_result(label: Label, started: float) -> PipelineResult:
     return PipelineResult(
         answer=label,
         verified_claims=(),
-        certification=Certification.CERTIFIED,
         answer_source=AnswerSource.CLOSURE_SHORT_CIRCUIT,
         generator_calls=0,
         total_generated_tokens=0,
@@ -251,15 +240,11 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
     decision = decide_from_closure(closure, question)
 
     if config.closure_short_circuit:
-        if decision.decided:
-            return _closure_result(decision.label, started)
-        if config.certify_unknown_from_closure:
-            target = question.target
-            underivable = (
-                target not in closure.literals and target.negated() not in closure.literals
-            )
-            if underivable:
-                return _closure_result(Label.UNKNOWN, started)
+        if decision is not Label.UNKNOWN:
+            return _closure_result(decision, started)
+        if (config.certify_unknown_from_closure
+                and verify_claim(question.target, closure) is VerdictStatus.UNSUPPORTED):
+            return _closure_result(Label.UNKNOWN, started)
 
     budget = select_budget(closure, question, config)
     prompt = build_sketch_prompt(closure.theory, question)
@@ -280,13 +265,12 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
             removed = len(parsed.claims) - len(anchored)
             parsed = replace(parsed, claims=anchored,
                              dropped_claims=parsed.dropped_claims + removed)
-        sketch = score_sketch(parsed, raw, closure, question, index=call_index)
+        sketch = score_sketch(parsed, raw, closure, decision, index=call_index)
         scored.append(sketch)
         if sketch.score.cert == 1:
             return PipelineResult(
                 answer=parsed.answer,
                 verified_claims=parsed.claims,
-                certification=Certification.CERTIFIED,
                 answer_source=AnswerSource.CERTIFIED_SKETCH,
                 generator_calls=call_index + 1,
                 total_generated_tokens=total_tokens,
@@ -296,20 +280,19 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
 
     # max() keeps the earliest of tied sketches, matching the tie rule.
     best = max(scored, key=lambda sketch: sketch.score.as_tuple())
-    if decision.decided:
-        answer = decision.label
+    if decision is not Label.UNKNOWN:
+        answer = decision
         source = AnswerSource.CLOSURE_CORRECTION
     else:
         answer = best.parsed.answer
         source = AnswerSource.BEST_SKETCH
     verified_claims = tuple(
-        verdict.claim for verdict in best.verdicts if verdict.status is VerdictStatus.VERIFIED
+        claim for claim, status in zip(best.parsed.claims, best.verdicts)
+        if status is VerdictStatus.VERIFIED
     )
-    certification = Certification.PARTIAL if verified_claims else Certification.UNCERTIFIED
     return PipelineResult(
         answer=answer,
         verified_claims=verified_claims,
-        certification=certification,
         answer_source=source,
         generator_calls=len(scored),
         total_generated_tokens=total_tokens,

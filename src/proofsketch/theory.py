@@ -32,6 +32,9 @@ The structured format is a JSON object:
 
 All symbols pass through one canonicalizer, so "Anne", " anne " and
 "Anne." name the same entity, and "the bald eagle" becomes "bald-eagle".
+
+A Theory holds its asserted facts of both polarities in one literal set;
+a fact asserted together with its negation is rejected at construction.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any
 
 _ARTICLES = ("the", "a", "an")
 _WS_RE = re.compile(r"\s+")
@@ -96,17 +99,16 @@ def canonicalize_symbol(raw: str) -> str:
 
     Lowercases, drops punctuation other than hyphens, strips leading
     articles (the/a/an), and joins internal whitespace with single
-    hyphens. Idempotent: canonical output passes through unchanged.
-    Raises EmptySymbolError when nothing survives.
+    hyphens. Hyphens at either end of a word go before the article check,
+    so "A-" is the article "a" and leaves nothing. Idempotent: canonical
+    output passes through unchanged. Raises EmptySymbolError when nothing
+    survives.
     """
-    text = _WS_RE.sub(" ", raw.strip().lower())
-    text = _DISALLOWED_RE.sub("", text)
-    text = _WS_RE.sub(" ", text).strip()
-    words = text.split(" ") if text else []
+    text = _DISALLOWED_RE.sub("", _WS_RE.sub(" ", raw.lower()))
+    words = [word for word in (part.strip("-") for part in text.split(" ")) if word]
     while words and words[0] in _ARTICLES:
         words.pop(0)
-    text = "-".join(words)
-    text = _HYPHEN_RUN_RE.sub("-", text).strip("-")
+    text = _HYPHEN_RUN_RE.sub("-", "-".join(words))
     if not text:
         raise EmptySymbolError(f"no symbol left after canonicalizing {raw!r}")
     return text
@@ -205,46 +207,32 @@ class Rule:
 
 @dataclass(frozen=True)
 class Theory:
-    """Asserted facts plus rules, with polarities kept apart.
+    """Asserted facts of either polarity plus rules.
 
     The entity and attribute vocabularies are computed once, at
     construction: claim canonicalization checks them for every claim.
     """
 
-    positive_facts: frozenset[Literal]
-    negative_facts: frozenset[Literal]
+    facts: frozenset[Literal]
     rules: tuple[Rule, ...] = ()
     source_text: str | None = field(default=None, compare=False)
     _entities: frozenset[str] = field(init=False, repr=False, compare=False)
     _attributes: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for literal in self.positive_facts:
-            if not literal.positive:
-                raise ValueError(f"negative literal {literal} in positive_facts")
-        for literal in self.negative_facts:
-            if literal.positive:
-                raise ValueError(f"positive literal {literal} in negative_facts")
-        clash = {(l.entity, l.attribute) for l in self.positive_facts} & {
-            (l.entity, l.attribute) for l in self.negative_facts
-        }
-        if clash:
-            entity, attribute = sorted(clash)[0]
-            raise InconsistentFactsError(
-                f"both polarities asserted for ({entity}, {attribute})"
-            )
-        entities = {literal.entity for literal in self.facts()}
+        denied = {(l.entity, l.attribute) for l in self.facts if not l.positive}
+        clash = min(((l.entity, l.attribute) for l in self.facts
+                     if l.positive and (l.entity, l.attribute) in denied), default=None)
+        if clash is not None:
+            raise InconsistentFactsError(f"both polarities asserted for ({clash[0]}, {clash[1]})")
+        entities = {literal.entity for literal in self.facts}
         entities.update(rule.subject for rule in self.rules if rule.subject is not None)
-        attributes = {literal.attribute for literal in self.facts()}
+        attributes = {literal.attribute for literal in self.facts}
         for rule in self.rules:
             attributes.update(attribute for attribute, _ in rule.body)
             attributes.add(rule.head[0])
         object.__setattr__(self, "_entities", frozenset(entities))
         object.__setattr__(self, "_attributes", frozenset(attributes))
-
-    def facts(self) -> Iterator[Literal]:
-        yield from self.positive_facts
-        yield from self.negative_facts
 
     def entities(self) -> frozenset[str]:
         """Entities named by facts or by a concrete rule subject."""
@@ -257,7 +245,7 @@ class Theory:
         """Serialize to the structured JSON shape. Facts are emitted sorted."""
         facts = [
             {"entity": l.entity, "attribute": l.attribute, "negated": not l.positive}
-            for l in sorted(self.facts(), key=literal_sort_key)
+            for l in sorted(self.facts, key=literal_sort_key)
         ]
         rules = [
             {
@@ -278,7 +266,7 @@ class Theory:
     def to_text(self) -> str:
         """Render as grammar-conforming sentences; inverse of parse_theory_nl."""
         lines = []
-        for literal in sorted(self.facts(), key=literal_sort_key):
+        for literal in sorted(self.facts, key=literal_sort_key):
             lines.append(_capitalize(literal.to_text()) + ".")
         for rule in self.rules:
             lines.append(_rule_to_text(rule))
@@ -291,18 +279,6 @@ class Question:
 
     target: Literal
     raw_text: str = field(default="", compare=False)
-
-
-@dataclass(frozen=True)
-class ClosureDecision:
-    """What the closure says about a question, if anything."""
-
-    label: Label
-    decided: bool
-
-    def __post_init__(self) -> None:
-        if not self.decided and self.label is not Label.UNKNOWN:
-            raise ValueError("an undecided question must carry the Unknown label")
 
 
 def _capitalize(sentence: str) -> str:
@@ -404,8 +380,7 @@ def parse_theory_nl(text: str) -> Theory:
     sentence index; asserting both polarities of one fact raises
     InconsistentFactsError.
     """
-    positive: set[Literal] = set()
-    negative: set[Literal] = set()
+    facts: set[Literal] = set()
     rules: list[Rule] = []
     for index, sentence in enumerate(_split_sentences(text)):
         lowered = sentence.lower()
@@ -415,13 +390,12 @@ def parse_theory_nl(text: str) -> Theory:
             elif lowered.startswith("all "):
                 rules.append(_parse_rule_all(sentence))
             else:
-                literal = _parse_fact(sentence)
-                (positive if literal.positive else negative).add(literal)
+                facts.add(_parse_fact(sentence))
         except ParseError as exc:
             if exc.sentence_index is None:
                 raise ParseError(exc.reason, index, sentence) from exc
             raise
-    return Theory(frozenset(positive), frozenset(negative), tuple(rules), source_text=text)
+    return Theory(frozenset(facts), tuple(rules), source_text=text)
 
 
 def _expect(value: Any, kind: type, path: str) -> Any:
@@ -463,15 +437,13 @@ def parse_theory_structured(doc: Any) -> Theory:
     facts = _field(doc, "facts", list, "document")
     rules = _field(doc, "rules", list, "document")
 
-    positive: set[Literal] = set()
-    negative: set[Literal] = set()
+    literals: set[Literal] = set()
     for index, entry in enumerate(facts):
         path = f"facts[{index}]"
         entity = _canonical_field(entry, "entity", path)
         attribute = _canonical_field(entry, "attribute", path)
         negated = _field(entry, "negated", bool, path)
-        literal = Literal(entity, attribute, Polarity.NEGATIVE if negated else Polarity.POSITIVE)
-        (negative if negated else positive).add(literal)
+        literals.add(Literal(entity, attribute, Polarity.NEGATIVE if negated else Polarity.POSITIVE))
 
     parsed_rules: list[Rule] = []
     for index, entry in enumerate(rules):
@@ -494,7 +466,7 @@ def parse_theory_structured(doc: Any) -> Theory:
         except ValueError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
 
-    return Theory(frozenset(positive), frozenset(negative), tuple(parsed_rules))
+    return Theory(frozenset(literals), tuple(parsed_rules))
 
 
 def parse_question(text: str) -> Question:

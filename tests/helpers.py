@@ -32,18 +32,15 @@ def random_theory(rng: random.Random, *, max_entities: int = 6, max_attributes: 
 
     pairs = [(entity, attribute) for entity in entities for attribute in attributes]
     fact_count = rng.randint(1, min(max_facts, len(pairs)))
-    positive: set[Literal] = set()
-    negative: set[Literal] = set()
+    facts: set[Literal] = set()
     for entity, attribute in rng.sample(pairs, fact_count):
-        if rng.random() < 0.7:
-            positive.add(Literal(entity, attribute, Polarity.POSITIVE))
-        else:
-            negative.add(Literal(entity, attribute, Polarity.NEGATIVE))
+        polarity = Polarity.POSITIVE if rng.random() < 0.7 else Polarity.NEGATIVE
+        facts.add(Literal(entity, attribute, polarity))
 
     rules: list[Rule] = []
     for _ in range(rng.randint(0, max_rules)):
         rules.append(random_rule(rng, entities, attributes))
-    return Theory(frozenset(positive), frozenset(negative), tuple(rules))
+    return Theory(frozenset(facts), tuple(rules))
 
 
 def random_rule(rng: random.Random, entities: list[str], attributes: list[str]) -> Rule:
@@ -81,7 +78,7 @@ def record_for(theory: Theory, question: Question, record_id: str) -> DatasetRec
         record_id=record_id,
         closure=closure,
         question=question,
-        gold_label=decide_from_closure(closure, question).label,
+        gold_label=decide_from_closure(closure, question),
     )
 
 

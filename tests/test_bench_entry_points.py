@@ -3,8 +3,9 @@
 bench/tracing.py wraps named package functions from outside the package
 and reports any it cannot find as "missing", which turns the per-layer
 metrics built on them into "missing" too. This test resolves every entry
-point the same way the tracer does, so a rename fails here first. It only
-reads bench/tracing.py.
+point the same way the tracer does, so a rename fails here first, and
+runs the tracer's result inspectors on real results, so a reshaped result
+type fails here instead of in a traced run. It only reads bench/tracing.py.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from proofsketch import (GenerationRequest, Label, OracleGenerator, PipelineConfig, RawSketch,
+                         decide_from_closure, forward_chain, parse_question, parse_sketch,
+                         parse_theory_nl, run_pipeline, score_sketch)
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -31,7 +36,8 @@ def _load_tracing():
     return module
 
 
-ENTRY_POINTS = _load_tracing().ENTRY_POINTS
+TRACING = _load_tracing()
+ENTRY_POINTS = TRACING.ENTRY_POINTS
 
 
 def test_entry_point_count() -> None:
@@ -50,3 +56,37 @@ def test_entry_point_resolves(span: str, module_name: str, attribute: str) -> No
         assert callable(vars(owner)[member])
     else:
         assert callable(getattr(home, member, None)), f"{span}: {attribute} not found"
+
+
+CLOSURE = forward_chain(parse_theory_nl("Anne is big. Bob is round. "
+                                        "If someone is big then they are kind."))
+OPEN_Q = parse_question("Is Bob kind?")
+
+
+def test_generate_inspector_reads_oracle_results() -> None:
+    generator = OracleGenerator(CLOSURE, OPEN_Q)
+    request = GenerationRequest(prompt="p", max_tokens=50)
+    response = generator.generate(request)
+    # Methods are wrapped on their class, so the tracer sees self first.
+    info = TRACING._generate_info((generator, request), response)
+    assert info == {"max_tokens": 50, "tokens": response.completion_tokens}
+
+
+def test_sketch_inspector_reads_parsed_sketches() -> None:
+    raw = RawSketch('{"answer": "Unknown", "claims": ["bob is round", "zed is odd"]}', 8)
+    parsed = parse_sketch(raw, CLOSURE.theory)
+    info = TRACING._sketch_info((raw, CLOSURE.theory), parsed)
+    assert info == {"status": parsed.parse_status.value, "dropped": parsed.dropped_claims}
+    assert info["dropped"] == 1
+
+
+def test_pipeline_and_score_inspectors_read_results() -> None:
+    args = (CLOSURE, OPEN_Q, PipelineConfig(), OracleGenerator(CLOSURE, OPEN_Q))
+    result = run_pipeline(*args)
+    assert TRACING._pipeline_info(args, result) == {"source": result.answer_source.value}
+    sketch = result.sketches[0]
+    decision = decide_from_closure(CLOSURE, OPEN_Q)
+    assert decision is Label.UNKNOWN
+    scored = score_sketch(sketch.parsed, sketch.raw, CLOSURE, decision)
+    info = TRACING._score_info((sketch.parsed, sketch.raw, CLOSURE, decision), scored)
+    assert info == {"cert": scored.score.cert} == {"cert": 1}

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import proofsketch
-from proofsketch.cli import _parse_budgets, _record_seed, main
+from proofsketch.cli import UsageError, _parse_budgets, _record_seed, main
 
 from test_generation import _StubEndpoint, _ok_payload
 
@@ -130,15 +130,10 @@ class TestAnswerCommand:
         assert payload["answer"] == "Unknown"
         assert payload["certification"] == "Certified"
 
-    def test_scripted_requires_script(self, theory_file) -> None:
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "answer", str(theory_file),
-                    "--question", "Is Bob kind?",
-                    "--backend", "scripted",
-                ]
-            )
+    def test_scripted_requires_script(self, theory_file, capsys) -> None:
+        assert main(["answer", str(theory_file), "--question", "Is Bob kind?",
+                     "--backend", "scripted"]) == 2
+        assert _error_line(capsys).endswith("--backend scripted requires --script <file>")
 
     def test_config_file_overrides(self, theory_file, tmp_path, capsys) -> None:
         config = tmp_path / "config.json"
@@ -157,19 +152,19 @@ class TestAnswerCommand:
         assert payload["generator_calls"] == 2
         assert payload["certification"] == "Uncertified"
 
-    def test_unknown_config_key_rejected(self, theory_file, tmp_path) -> None:
+    def test_unknown_config_key_rejected(self, theory_file, tmp_path, capsys) -> None:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"max_sketch": 1}), encoding="utf-8")
-        with pytest.raises(SystemExit, match="unknown key.*max_sketch"):
-            main(["answer", str(theory_file), "--question", "Is Bob kind?",
-                  "--config", str(config)])
+        assert main(["answer", str(theory_file), "--question", "Is Bob kind?",
+                     "--config", str(config)]) == 2
+        assert _error_line(capsys).endswith("config file has unknown key(s): max_sketch")
 
-    def test_scripted_script_must_be_string_array(self, theory_file, tmp_path) -> None:
+    def test_scripted_script_must_be_string_array(self, theory_file, tmp_path, capsys) -> None:
         script = tmp_path / "script.json"
         script.write_text(json.dumps({"answer": "Unknown"}), encoding="utf-8")
-        with pytest.raises(SystemExit, match="JSON array of strings"):
-            main(["answer", str(theory_file), "--question", "Is Bob kind?",
-                  "--backend", "scripted", "--script", str(script)])
+        assert main(["answer", str(theory_file), "--question", "Is Bob kind?",
+                     "--backend", "scripted", "--script", str(script)]) == 2
+        assert _error_line(capsys).endswith("script file must hold a JSON array of strings")
 
     def test_http_backend_reads_config(self, theory_file, tmp_path, capsys,
                                        monkeypatch) -> None:
@@ -299,13 +294,24 @@ class TestUserErrors:
          "config key 'timeout_ms' must be a number"),
         ({"closure_short_circuit": "no"}, [],
          "config key 'closure_short_circuit' must be a boolean"),
+        ({"max_sketches": 0}, [], "config file: max_sketches must be at least 1"),
+        ({}, ["eval", "--workers", "0"], "--workers must be at least 1"),
+        ({}, ["eval", "--flip", "2"], "flip_answer_prob must lie in [0, 1]"),
+        ({"max_in_flight": 0},
+         ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+          "--model", "m"],
+         "config file: max_in_flight and timeout_ms must be positive"),
     ])
-    def test_config_value_types(self, theory_file, tmp_path, capsys, doc, backend,
+    def test_config_value_types(self, theory_file, dataset, tmp_path, capsys, doc, backend,
                                 message) -> None:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["answer", str(theory_file), "--question", "Is Bob kind?",
-                "--config", str(config), *backend]
+        # A leading "eval" runs eval over the dataset; the other cases answer one question.
+        if backend[:1] == ["eval"]:
+            command, backend = ["eval", str(dataset)], backend[1:]
+        else:
+            command = ["answer", str(theory_file), "--question", "Is Bob kind?"]
+        argv = [*command, "--config", str(config), *backend]
         assert main(argv) == 2
         assert _error_line(capsys) == f"proofsketch: error: {message}"
 
@@ -348,9 +354,9 @@ class TestBudgetSpecParsing:
     def test_comma_form(self) -> None:
         assert _parse_budgets("64, 96,128") == [64, 96, 128]
 
-    @pytest.mark.parametrize("spec", ["30:10:5", "10:20:0", "1:2:3:4"])
+    @pytest.mark.parametrize("spec", ["30:10:5", "10:20:0", "1:2:3:4", "0,5", "abc", "-5:10:5"])
     def test_bad_specs(self, spec: str) -> None:
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             _parse_budgets(spec)
 
 

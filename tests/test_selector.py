@@ -25,6 +25,7 @@ from proofsketch import (
     VerdictStatus,
     compare_scores,
     count_tokens,
+    decide_from_closure,
     forward_chain,
     parse_question,
     parse_theory_nl,
@@ -41,6 +42,9 @@ CLOSURE = forward_chain(THEORY)
 
 DECIDED_Q = parse_question("Is Anne kind?")
 OPEN_Q = parse_question("Is Bob kind?")
+# What the closure decides for each question; score_sketch takes the decision.
+DECIDED = decide_from_closure(CLOSURE, DECIDED_Q)
+OPEN = decide_from_closure(CLOSURE, OPEN_Q)
 
 CERTIFIED_SKETCH = '{"answer": "Unknown", "claims": ["bob is round"]}'
 PARTIAL_SKETCH = '{"answer": "Unknown", "claims": ["bob is round", "bob is kind"]}'
@@ -60,15 +64,15 @@ def _raw(tokens: int) -> RawSketch:
 class TestVerifyClaim:
     def test_verified(self) -> None:
         verdict = verify_claim(Literal("anne", "kind", Polarity.POSITIVE), CLOSURE)
-        assert verdict.status is VerdictStatus.VERIFIED
+        assert verdict is VerdictStatus.VERIFIED
 
     def test_contradicted(self) -> None:
         verdict = verify_claim(Literal("anne", "kind", Polarity.NEGATIVE), CLOSURE)
-        assert verdict.status is VerdictStatus.CONTRADICTED
+        assert verdict is VerdictStatus.CONTRADICTED
 
     def test_unsupported(self) -> None:
         verdict = verify_claim(Literal("bob", "kind", Polarity.POSITIVE), CLOSURE)
-        assert verdict.status is VerdictStatus.UNSUPPORTED
+        assert verdict is VerdictStatus.UNSUPPORTED
 
     def test_both_polarities_is_contradicted(self) -> None:
         theory = parse_theory_nl(
@@ -79,11 +83,7 @@ class TestVerifyClaim:
         closure = forward_chain(theory)
         claim = Literal("anne", "kind", Polarity.POSITIVE)
         assert claim in closure.literals and claim.negated() in closure.literals
-        assert verify_claim(claim, closure).status is VerdictStatus.CONTRADICTED
-
-    def test_verdict_carries_claim(self) -> None:
-        claim = Literal("bob", "round", Polarity.POSITIVE)
-        assert verify_claim(claim, CLOSURE).claim == claim
+        assert verify_claim(claim, closure) is VerdictStatus.CONTRADICTED
 
 
 class TestScoreTuple:
@@ -128,9 +128,9 @@ class TestScoreSketch:
             Label.UNKNOWN,
             Literal("bob", "round", Polarity.POSITIVE),
         )
-        scored = score_sketch(parsed, _raw(50), CLOSURE, OPEN_Q)
+        scored = score_sketch(parsed, _raw(50), CLOSURE, OPEN)
         assert scored.score.as_tuple() == (1, 1, -50, 1)
-        assert [v.status for v in scored.verdicts] == [VerdictStatus.VERIFIED]
+        assert scored.verdicts == (VerdictStatus.VERIFIED,)
 
     def test_two_verified_fifty_tokens(self) -> None:
         parsed = _sketch(
@@ -139,7 +139,7 @@ class TestScoreSketch:
             Literal("anne", "kind", Polarity.POSITIVE),
         )
         # Question on bob keeps the closure undecided for consistency.
-        scored = score_sketch(parsed, _raw(50), CLOSURE, OPEN_Q)
+        scored = score_sketch(parsed, _raw(50), CLOSURE, OPEN)
         assert scored.score.as_tuple() == (1, 2, -50, 1)
 
     def test_one_of_two_verified(self) -> None:
@@ -148,38 +148,38 @@ class TestScoreSketch:
             Literal("bob", "round", Polarity.POSITIVE),
             Literal("bob", "kind", Polarity.POSITIVE),
         )
-        scored = score_sketch(parsed, _raw(30), CLOSURE, OPEN_Q)
+        scored = score_sketch(parsed, _raw(30), CLOSURE, OPEN)
         assert scored.score.as_tuple() == (0, 1, -30, 1)
 
     def test_contradicted_kills_consistency(self) -> None:
         parsed = _sketch(Label.UNKNOWN, Literal("bob", "round", Polarity.NEGATIVE))
-        scored = score_sketch(parsed, _raw(10), CLOSURE, OPEN_Q)
+        scored = score_sketch(parsed, _raw(10), CLOSURE, OPEN)
         assert scored.score.as_tuple() == (0, 0, -10, 0)
 
     def test_disagreeing_with_decided_closure(self) -> None:
         # Claims verify but the answer fights the closure's verdict.
         parsed = _sketch(Label.FALSE, Literal("anne", "big", Polarity.POSITIVE))
-        scored = score_sketch(parsed, _raw(20), CLOSURE, DECIDED_Q)
+        scored = score_sketch(parsed, _raw(20), CLOSURE, DECIDED)
         assert scored.score.as_tuple() == (1, 1, -20, 0)
 
     def test_agreeing_with_decided_closure(self) -> None:
         parsed = _sketch(Label.TRUE, Literal("anne", "big", Polarity.POSITIVE))
-        scored = score_sketch(parsed, _raw(20), CLOSURE, DECIDED_Q)
+        scored = score_sketch(parsed, _raw(20), CLOSURE, DECIDED)
         assert scored.score.as_tuple() == (1, 1, -20, 1)
 
     def test_failed_sketch_scores_zero(self) -> None:
         parsed = ParsedSketch(Label.UNKNOWN, (), ParseStatus.FAILED)
-        scored = score_sketch(parsed, _raw(5), CLOSURE, OPEN_Q)
+        scored = score_sketch(parsed, _raw(5), CLOSURE, OPEN)
         assert scored.score.cert == 0 and scored.score.verified_count == 0
 
     def test_empty_claims_never_certify(self) -> None:
         parsed = ParsedSketch(Label.TRUE, (), ParseStatus.CLEAN)
-        scored = score_sketch(parsed, _raw(5), CLOSURE, OPEN_Q)
+        scored = score_sketch(parsed, _raw(5), CLOSURE, OPEN)
         assert scored.score.cert == 0
 
     def test_index_passthrough(self) -> None:
         parsed = _sketch(Label.UNKNOWN, Literal("bob", "round", Polarity.POSITIVE))
-        assert score_sketch(parsed, _raw(5), CLOSURE, OPEN_Q, index=3).index == 3
+        assert score_sketch(parsed, _raw(5), CLOSURE, OPEN, index=3).index == 3
 
 
 class TestPipelineConfig:
@@ -217,24 +217,11 @@ class TestPipelineConfig:
 
 
 class TestPipelineResultInvariants:
-    def test_certified_requires_certifying_source(self) -> None:
-        with pytest.raises(ValueError):
-            PipelineResult(
-                answer=Label.TRUE,
-                verified_claims=(),
-                certification=Certification.CERTIFIED,
-                answer_source=AnswerSource.BEST_SKETCH,
-                generator_calls=1,
-                total_generated_tokens=10,
-                latency_ms=0.0,
-            )
-
     def test_negative_accounting_rejected(self) -> None:
         with pytest.raises(ValueError):
             PipelineResult(
                 answer=Label.TRUE,
                 verified_claims=(),
-                certification=Certification.UNCERTIFIED,
                 answer_source=AnswerSource.BEST_SKETCH,
                 generator_calls=-1,
                 total_generated_tokens=0,
@@ -384,6 +371,19 @@ class TestRunPipeline:
         first = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), ScriptedGenerator(script))
         second = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), ScriptedGenerator(script))
         assert _result_view(first) == _result_view(second)
+
+    def test_question_decided_once(self, monkeypatch) -> None:
+        calls = []
+
+        def counted(closure, question):
+            calls.append(question)
+            return decide_from_closure(closure, question)
+
+        monkeypatch.setattr("proofsketch.selector.decide_from_closure", counted)
+        generator = ScriptedGenerator([FAILED_SKETCH] * 4)
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
+        assert len(result.sketches) == 4
+        assert calls == [OPEN_Q]
 
     def test_audit_view_is_json_serializable(self) -> None:
         script = [PARTIAL_SKETCH] * 4

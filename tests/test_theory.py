@@ -44,7 +44,7 @@ class TestCanonicalizeSymbol:
     def test_examples(self, raw: str, expected: str) -> None:
         assert canonicalize_symbol(raw) == expected
 
-    @pytest.mark.parametrize("raw", ["", "   ", "the", "a", "...", "'the'"])
+    @pytest.mark.parametrize("raw", ["", "   ", "the", "a", "...", "'the'", "A-", "the-"])
     def test_nothing_left(self, raw: str) -> None:
         with pytest.raises(EmptySymbolError):
             canonicalize_symbol(raw)
@@ -124,19 +124,10 @@ class TestRuleInvariants:
 
 
 class TestTheoryInvariants:
-    def test_polarity_segregation(self) -> None:
-        with pytest.raises(ValueError):
-            Theory(
-                positive_facts=frozenset({Literal("anne", "kind", Polarity.NEGATIVE)}),
-                negative_facts=frozenset(),
-            )
-
     def test_contradictory_facts_rejected(self) -> None:
         with pytest.raises(InconsistentFactsError):
-            Theory(
-                positive_facts=frozenset({Literal("anne", "kind", Polarity.POSITIVE)}),
-                negative_facts=frozenset({Literal("anne", "kind", Polarity.NEGATIVE)}),
-            )
+            Theory(facts=frozenset({Literal("anne", "kind", Polarity.POSITIVE),
+                                    Literal("anne", "kind", Polarity.NEGATIVE)}))
 
     def test_vocabulary_covers_rule_subjects(self) -> None:
         theory = parse_theory_nl("Anne is big. If bob is big then bob is kind.")
@@ -147,12 +138,12 @@ class TestTheoryInvariants:
 class TestNaturalLanguageParsing:
     def test_positive_fact(self) -> None:
         theory = parse_theory_nl("Anne is kind.")
-        assert theory.positive_facts == {Literal("anne", "kind", Polarity.POSITIVE)}
-        assert not theory.negative_facts and not theory.rules
+        assert theory.facts == {Literal("anne", "kind", Polarity.POSITIVE)}
+        assert not theory.rules
 
     def test_negative_fact_with_article_entity(self) -> None:
         theory = parse_theory_nl("The bald eagle is not green.")
-        assert theory.negative_facts == {Literal("bald-eagle", "green", Polarity.NEGATIVE)}
+        assert theory.facts == {Literal("bald-eagle", "green", Polarity.NEGATIVE)}
 
     def test_universal_conditional(self) -> None:
         theory = parse_theory_nl("If someone is big and strong then they are kind.")
@@ -246,7 +237,7 @@ class TestNaturalLanguageParsing:
 
     def test_empty_text_is_empty_theory(self) -> None:
         theory = parse_theory_nl("")
-        assert not theory.positive_facts and not theory.negative_facts and not theory.rules
+        assert not theory.facts and not theory.rules
 
 
 class TestStructuredParsing:
@@ -265,8 +256,8 @@ class TestStructuredParsing:
             ],
         }
         theory = parse_theory_structured(doc)
-        assert theory.positive_facts == {Literal("anne", "big", Polarity.POSITIVE)}
-        assert theory.negative_facts == {Literal("bob", "green", Polarity.NEGATIVE)}
+        assert theory.facts == {Literal("anne", "big", Polarity.POSITIVE),
+                                Literal("bob", "green", Polarity.NEGATIVE)}
         assert theory.rules[0].is_universal
 
     def test_concrete_subject(self) -> None:
