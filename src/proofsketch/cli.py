@@ -55,7 +55,7 @@ _USER_ERRORS = (UsageError, OSError, json.JSONDecodeError, ParseError, SchemaErr
 
 def _load_theory_file(path: str):
     text = Path(path).read_text(encoding="utf-8")
-    if path.endswith(".theory.json") or path.endswith(".json"):
+    if path.endswith(".json"):
         return parse_theory_structured(json.loads(text))
     return parse_theory_nl(text)
 
@@ -208,8 +208,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _parse_budgets(spec: str) -> list[int]:
     parts = spec.split(":") if ":" in spec else [p for p in spec.split(",") if p.strip()]
-    if not all(part.strip().isdecimal() and int(part) > 0 for part in parts):
-        raise UsageError("--budgets expects positive integers")
+    if not parts or not all(part.strip().isdecimal() and int(part) > 0 for part in parts):
+        raise UsageError("--budgets expects one or more positive integers")
     if ":" not in spec:
         return [int(part) for part in parts]
     if len(parts) != 3:

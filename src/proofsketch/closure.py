@@ -11,11 +11,11 @@ Deriving both polarities of the same pair does not abort the fixpoint.
 The closure is computed in full and marked contradictory, so callers can
 keep inspecting it while refusing to treat the theory as trustworthy.
 
-forward_chain is the production path: delta-driven rounds touch only
-rules whose bodies mention a literal added in the previous round, and
-record for every literal the length of its shortest derivation.
-brute_force_closure re-applies every rule to every entity until nothing
-changes; it exists as an independent reference for equivalence testing.
+forward_chain computes it: delta-driven rounds touch only rules whose
+bodies mention a literal added in the previous round, and record for
+every literal the length of its shortest derivation. The independent
+reference it is tested against, a fixpoint that re-applies every rule to
+every entity until nothing changes, lives in tests/helpers.py.
 
 What the closure says about a literal is answered here only: verify_claim
 gives its verdict (Verified, Contradicted, Unsupported), and
@@ -114,38 +114,6 @@ def forward_chain(theory: Theory) -> Closure:
         depth=known,
         contradictory=_is_contradictory(literals),
         entity_index=_index_by_entity(literals),
-        theory=theory,
-    )
-
-
-def brute_force_closure(theory: Theory) -> Closure:
-    """Reference fixpoint: sweep every rule over every entity until stable.
-
-    Slower than forward_chain and records no depths; used to cross-check
-    the production engine.
-    """
-    literals: set[Literal] = set(theory.facts)
-    entities = theory.entities()
-    changed = True
-    while changed:
-        changed = False
-        for rule in theory.rules:
-            subjects = entities if rule.subject is None else (rule.subject,)
-            for entity in subjects:
-                if all(
-                    Literal(entity, attribute, polarity) in literals
-                    for attribute, polarity in rule.body
-                ):
-                    head = Literal(entity, rule.head[0], rule.head[1])
-                    if head not in literals:
-                        literals.add(head)
-                        changed = True
-    frozen = frozenset(literals)
-    return Closure(
-        literals=frozen,
-        depth={},
-        contradictory=_is_contradictory(frozen),
-        entity_index=_index_by_entity(frozen),
         theory=theory,
     )
 

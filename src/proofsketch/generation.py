@@ -7,7 +7,8 @@ Every prompt shares one layout: an opening line, the statements, the
 question, then the method's instruction.
 
 Everything the pipeline asks a text generator for goes through one
-request/response contract. Three backends implement it:
+call, Generator.generate(request) -> response. Three backends implement
+it:
 
     ScriptedGenerator  replays a fixed list of responses; golden tests
     OracleGenerator    derives sketches from the symbolic closure, with
@@ -18,7 +19,8 @@ A backend that a run shares across questions (scripted, http) is safe for
 concurrent calls; an oracle is built per question and never shared.
 
 Token accounting for local backends is whitespace tokenization; the HTTP
-backend trusts the endpoint's reported completion tokens when present.
+backend trusts the endpoint's usage.completion_tokens when it is a
+non-negative integer, and counts whitespace tokens otherwise.
 Budgets are enforced on the gateway side: request_sketch truncates
 over-length text at a token boundary and recounts, so the pipeline never
 sees a sketch above the requested maximum.
@@ -146,13 +148,11 @@ class GenerationResponse:
 
 
 class Generator(Protocol):
-    """Minimal backend contract: a name and one synchronous call.
+    """Minimal backend contract: one synchronous call.
 
     A backend that one run shares across questions must be safe for
     concurrent generate() calls; it guards its own state.
     """
-
-    name: str
 
     def generate(self, request: GenerationRequest) -> GenerationResponse: ...
 
@@ -206,15 +206,13 @@ class ScriptedGenerator:
     cursor is guarded by a lock: concurrent calls each take one response.
     """
 
-    def __init__(self, script: Sequence[str], *, strict: bool = True,
-                 name: str = "scripted") -> None:
+    def __init__(self, script: Sequence[str], *, strict: bool = True) -> None:
         if not script:
             raise ValueError("script must contain at least one response")
         self._script = [str(item) for item in script]
         self._strict = strict
         self._cursor = 0
         self._lock = threading.Lock()
-        self.name = name
 
     @property
     def calls(self) -> int:
@@ -268,10 +266,9 @@ class OracleGenerator:
     """
 
     def __init__(self, closure: Closure, question: Question,
-                 noise: OracleNoiseConfig | None = None, *, name: str = "oracle") -> None:
+                 noise: OracleNoiseConfig | None = None) -> None:
         self._noise = noise or OracleNoiseConfig()
         self._rng = random.Random(self._noise.seed)
-        self.name = name
         self._label = decide_from_closure(closure, question)
         anchored = closure.entity_index.get(question.target.entity, frozenset())
         ordered = sorted(
@@ -315,8 +312,7 @@ class HttpGenerator:
                  max_retries: int = 2,
                  backoff_base_s: float = 0.25,
                  backoff_jitter_s: float = 0.1,
-                 max_in_flight: int = 4,
-                 name: str | None = None) -> None:
+                 max_in_flight: int = 4) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if max_in_flight < 1 or timeout_ms <= 0:
@@ -331,7 +327,6 @@ class HttpGenerator:
         self._gate = threading.BoundedSemaphore(max_in_flight)
         self._stats_lock = threading.Lock()
         self.retries_total = 0
-        self.name = name or f"http:{model_name}"
 
     def _note_retry(self) -> None:
         with self._stats_lock:
@@ -364,9 +359,9 @@ class HttpGenerator:
             text = choice["text"]
         else:
             raise GeneratorError("completion payload has no text content")
-        usage = data.get("usage") or {}
-        tokens = usage.get("completion_tokens")
-        if not isinstance(tokens, int) or tokens < 0:
+        usage = data.get("usage")
+        tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
+        if not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0:
             tokens = count_tokens(text)
         return GenerationResponse(text=text, completion_tokens=tokens, latency_ms=latency_ms)
 

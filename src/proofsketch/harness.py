@@ -13,10 +13,8 @@ verification-guided sketch pipeline. evaluate runs every (method, record)
 pair through one loop, on one thread pool when workers > 1, and returns
 the results method-major in dataset order. Metrics per method: accuracy,
 certification rate, mean completion tokens, nearest-rank 95th-percentile
-tokens, mean latency.
-Token savings between two methods is 1 - mean_a / mean_b on mean tokens;
-a per-example variant averaging per-record ratios is available
-separately, and the two can differ by about a point on real runs.
+tokens, mean latency. Token savings between two methods is
+1 - mean_a / mean_b on mean tokens.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .closure import Closure, forward_chain
 from .generation import BASELINE_BUDGETS, Generator, Method, build_baseline_prompt, request_sketch
 from .selector import Certification, PipelineConfig, run_pipeline
 from .sketch import last_label_word
-from .theory import Label, ParseError, Question, parse_question, parse_theory_nl
+from .theory import Label, ParseError, Question, SchemaError, parse_question, parse_theory_nl
 
 
 class EmptyDatasetError(ValueError):
@@ -156,7 +154,7 @@ def load_dataset(path: str | Path) -> LoadResult:
     return LoadResult(tuple(records), tuple(rejects))
 
 
-_ANSWER_LINE_RE = re.compile(r"^\s*answer\s*[::]\s*(?P<rest>.*)$", re.IGNORECASE)
+_ANSWER_LINE_RE = re.compile(r"^\s*answer\s*:\s*(?P<rest>.*)$", re.IGNORECASE)
 
 
 def extract_label(text: str) -> tuple[Label, bool]:
@@ -281,19 +279,21 @@ class MetricsReport:
         return {"methods": methods, "token_savings_percent": savings}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "MetricsReport":
-        per_method = {
-            name: MethodMetrics(
-                accuracy=row["accuracy"],
-                cert_rate=row["cert_rate"],
-                mean_tokens=row["mean_tokens"],
-                p95_tokens=row["p95_tokens"],
-                mean_latency_ms=row["mean_latency_ms"],
-                n=row["n"],
-            )
-            for name, row in doc.get("methods", {}).items()
-        }
-        return cls(per_method)
+    def from_json_dict(cls, doc: object) -> "MetricsReport":
+        """Inverse of to_json_dict; SchemaError names the first missing or
+        mis-typed field."""
+        methods = doc.get("methods") if isinstance(doc, dict) else None
+        if not isinstance(methods, dict):
+            raise SchemaError("metrics.json: expected an object with a 'methods' object")
+        for name, row in methods.items():
+            for column in _REPORT_COLUMNS:
+                value = row.get(column) if isinstance(row, dict) else None
+                kind = int if column == "n" else (int, float)
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise SchemaError(f"metrics.json: methods.{name}.{column} must be "
+                                      + ("an integer" if column == "n" else "a number"))
+        return cls({name: MethodMetrics(**{column: row[column] for column in _REPORT_COLUMNS})
+                    for name, row in methods.items()})
 
 
 def nearest_rank_p95(values: Sequence[float]) -> float:
@@ -340,25 +340,6 @@ def token_savings(report: MetricsReport, method_a: str, method_b: str) -> float:
     if mean_b == 0:
         raise ZeroDivisionError("baseline mean tokens is zero")
     return 1.0 - report.per_method[method_a].mean_tokens / mean_b
-
-
-def per_example_token_savings(records: Sequence[EvalRecord], method_a: str,
-                              method_b: str) -> float:
-    """Mean of per-record savings ratios over records both methods ran.
-
-    Records where method_b spent zero tokens are skipped, since the ratio
-    is undefined there. Differs in general from the ratio of means.
-    """
-    tokens_a = {r.record_id: r.tokens for r in records if r.method.value == method_a}
-    tokens_b = {r.record_id: r.tokens for r in records if r.method.value == method_b}
-    ratios = [
-        1.0 - tokens_a[record_id] / tokens_b[record_id]
-        for record_id in tokens_a
-        if record_id in tokens_b and tokens_b[record_id] > 0
-    ]
-    if not ratios:
-        raise EmptyInputError("no record is covered by both methods with nonzero baseline tokens")
-    return _mean(ratios)
 
 
 def savings_percent(fraction: float) -> float:

@@ -16,7 +16,8 @@ Claim verdicts and the closure's decision come from closure.py; a run
 decides its question once and hands the decision to every score. A
 result's certification is derived, not stored: Certified when the closure
 or a fully verified sketch answered, else Partial or Uncertified by
-whether any claim verified.
+whether any claim verified. So are its generator call count and token
+total, read off the sketches it kept.
 """
 
 from __future__ import annotations
@@ -154,14 +155,16 @@ class PipelineResult:
     answer: Label
     verified_claims: tuple[Literal, ...]
     answer_source: AnswerSource
-    generator_calls: int
-    total_generated_tokens: int
     latency_ms: float
     sketches: tuple[ScoredSketch, ...] = field(default=(), compare=False)
 
-    def __post_init__(self) -> None:
-        if self.generator_calls < 0 or self.total_generated_tokens < 0:
-            raise ValueError("accounting fields must be non-negative")
+    @property
+    def generator_calls(self) -> int:
+        return len(self.sketches)
+
+    @property
+    def total_generated_tokens(self) -> int:
+        return sum(sketch.raw.token_count for sketch in self.sketches)
 
     @property
     def certification(self) -> Certification:
@@ -223,8 +226,6 @@ def _closure_result(label: Label, started: float) -> PipelineResult:
         answer=label,
         verified_claims=(),
         answer_source=AnswerSource.CLOSURE_SHORT_CIRCUIT,
-        generator_calls=0,
-        total_generated_tokens=0,
         latency_ms=(time.perf_counter() - started) * 1000.0,
     )
 
@@ -249,16 +250,14 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
     budget = select_budget(closure, question, config)
     prompt = build_sketch_prompt(closure.theory, question)
     scored: list[ScoredSketch] = []
-    total_tokens = 0
 
     for call_index in range(config.max_sketches):
         try:
             raw = request_sketch(generator, prompt, budget, config.temperature)
         except GeneratorError as exc:
             exc.calls_made = call_index + 1
-            exc.tokens_generated = total_tokens
+            exc.tokens_generated = sum(sketch.raw.token_count for sketch in scored)
             raise
-        total_tokens += raw.token_count
         parsed = parse_sketch(raw, closure.theory)
         anchored = anchor_claims(parsed.claims, question)
         if len(anchored) != len(parsed.claims):
@@ -272,8 +271,6 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
                 answer=parsed.answer,
                 verified_claims=parsed.claims,
                 answer_source=AnswerSource.CERTIFIED_SKETCH,
-                generator_calls=call_index + 1,
-                total_generated_tokens=total_tokens,
                 latency_ms=(time.perf_counter() - started) * 1000.0,
                 sketches=tuple(scored),
             )
@@ -294,8 +291,6 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
         answer=answer,
         verified_claims=verified_claims,
         answer_source=source,
-        generator_calls=len(scored),
-        total_generated_tokens=total_tokens,
         latency_ms=(time.perf_counter() - started) * 1000.0,
         sketches=tuple(scored),
     )

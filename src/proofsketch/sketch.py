@@ -213,9 +213,6 @@ def parse_sketch(raw: RawSketch, theory: Theory) -> ParsedSketch:
 
 
 def anchor_claims(claims: tuple[Literal, ...], question: Question) -> tuple[Literal, ...]:
-    """Keep only claims about the queried entity, in order, without repeats."""
-    anchored: list[Literal] = []
-    for claim in claims:
-        if claim.entity == question.target.entity and claim not in anchored:
-            anchored.append(claim)
-    return tuple(anchored)
+    """Keep only claims about the queried entity, in order. The claims come
+    from a ParsedSketch, which already holds each claim once."""
+    return tuple(claim for claim in claims if claim.entity == question.target.entity)

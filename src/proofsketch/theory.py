@@ -200,10 +200,6 @@ class Rule:
         if self.head in seen:
             raise ValueError(f"rule head {self.head[0]!r} repeats a body condition")
 
-    @property
-    def is_universal(self) -> bool:
-        return self.subject is None
-
 
 @dataclass(frozen=True)
 class Theory:
@@ -241,28 +237,6 @@ class Theory:
     def attributes(self) -> frozenset[str]:
         return self._attributes
 
-    def to_structured(self) -> dict[str, Any]:
-        """Serialize to the structured JSON shape. Facts are emitted sorted."""
-        facts = [
-            {"entity": l.entity, "attribute": l.attribute, "negated": not l.positive}
-            for l in sorted(self.facts, key=literal_sort_key)
-        ]
-        rules = [
-            {
-                "subject": "*" if rule.subject is None else rule.subject,
-                "body": [
-                    {"attribute": attribute, "negated": polarity is Polarity.NEGATIVE}
-                    for attribute, polarity in rule.body
-                ],
-                "head": {
-                    "attribute": rule.head[0],
-                    "negated": rule.head[1] is Polarity.NEGATIVE,
-                },
-            }
-            for rule in self.rules
-        ]
-        return {"facts": facts, "rules": rules}
-
     def to_text(self) -> str:
         """Render as grammar-conforming sentences; inverse of parse_theory_nl."""
         lines = []
@@ -286,7 +260,7 @@ def _capitalize(sentence: str) -> str:
 
 
 def _rule_to_text(rule: Rule) -> str:
-    subject = "someone" if rule.is_universal else rule.subject
+    subject = "someone" if rule.subject is None else rule.subject
     parts = []
     for index, (attribute, polarity) in enumerate(rule.body):
         negation = "not " if polarity is Polarity.NEGATIVE else ""
@@ -295,7 +269,7 @@ def _rule_to_text(rule: Rule) -> str:
         else:
             parts.append(f"{negation}{attribute}")
     body = " and ".join(parts)
-    ref = "they are" if rule.is_universal else f"{rule.subject} is"
+    ref = "they are" if rule.subject is None else f"{rule.subject} is"
     negation = "not " if rule.head[1] is Polarity.NEGATIVE else ""
     return _capitalize(f"if {body} then {ref} {negation}{rule.head[0]}.")
 

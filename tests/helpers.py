@@ -1,24 +1,20 @@
-"""Shared builders for randomized test corpora.
+"""Shared builders for randomized test corpora, and the reference
+implementations the production code is checked against.
 
-Everything here is driven by an explicit random.Random so corpora are
-reproducible from a seed. Symbol pools avoid grammar keywords.
+Everything random here is driven by an explicit random.Random so corpora
+are reproducible from a seed. Symbol pools avoid grammar keywords.
 """
 
 from __future__ import annotations
 
 import random
 
-from proofsketch import (
-    DatasetRecord,
-    Literal,
-    Polarity,
-    Question,
-    Rule,
-    Theory,
-    brute_force_closure,
-    decide_from_closure,
-    forward_chain,
-)
+from typing import Any
+
+from proofsketch.theory import Literal, Polarity, Question, Rule, Theory, literal_sort_key
+from proofsketch.closure import (Closure, _index_by_entity, _is_contradictory,
+                                 decide_from_closure, forward_chain)
+from proofsketch.harness import DatasetRecord
 
 ENTITY_POOL = ("anne", "bob", "carol", "dave", "erin", "fiona", "gary", "harry")
 ATTRIBUTE_POOL = ("big", "kind", "green", "quiet", "smart", "round",
@@ -85,3 +81,58 @@ def record_for(theory: Theory, question: Question, record_id: str) -> DatasetRec
 def tiny_theory(rng: random.Random) -> Theory:
     """Small enough instance to verify by hand."""
     return random_theory(rng, max_entities=3, max_attributes=3, max_rules=3, max_facts=4)
+
+
+def brute_force_closure(theory: Theory) -> Closure:
+    """Reference fixpoint: sweep every rule over every entity until stable.
+
+    Slower than forward_chain and records no depths; used to cross-check
+    the production engine.
+    """
+    literals: set[Literal] = set(theory.facts)
+    entities = theory.entities()
+    changed = True
+    while changed:
+        changed = False
+        for rule in theory.rules:
+            subjects = entities if rule.subject is None else (rule.subject,)
+            for entity in subjects:
+                if all(
+                    Literal(entity, attribute, polarity) in literals
+                    for attribute, polarity in rule.body
+                ):
+                    head = Literal(entity, rule.head[0], rule.head[1])
+                    if head not in literals:
+                        literals.add(head)
+                        changed = True
+    frozen = frozenset(literals)
+    return Closure(
+        literals=frozen,
+        depth={},
+        contradictory=_is_contradictory(frozen),
+        entity_index=_index_by_entity(frozen),
+        theory=theory,
+    )
+
+
+def to_structured(theory: Theory) -> dict[str, Any]:
+    """Serialize to the structured JSON shape. Facts are emitted sorted."""
+    facts = [
+        {"entity": l.entity, "attribute": l.attribute, "negated": not l.positive}
+        for l in sorted(theory.facts, key=literal_sort_key)
+    ]
+    rules = [
+        {
+            "subject": "*" if rule.subject is None else rule.subject,
+            "body": [
+                {"attribute": attribute, "negated": polarity is Polarity.NEGATIVE}
+                for attribute, polarity in rule.body
+            ],
+            "head": {
+                "attribute": rule.head[0],
+                "negated": rule.head[1] is Polarity.NEGATIVE,
+            },
+        }
+        for rule in theory.rules
+    ]
+    return {"facts": facts, "rules": rules}

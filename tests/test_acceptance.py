@@ -10,45 +10,17 @@ import json
 import random
 import time
 
-from proofsketch import (
-    AnswerSource,
-    Certification,
-    DatasetRecord,
-    GenerationRequest,
-    Label,
-    Literal,
-    Method,
-    OracleGenerator,
-    OracleNoiseConfig,
-    ParseStatus,
-    PipelineConfig,
-    Polarity,
-    RawSketch,
-    ScoreTuple,
-    ScriptedGenerator,
-    Theory,
-    brute_force_closure,
-    compare_scores,
-    compute_metrics,
-    count_tokens,
-    decide_from_closure,
-    entity_has_closure_facts,
-    evaluate,
-    forward_chain,
-    nearest_rank_p95,
-    parse_question,
-    parse_sketch,
-    parse_theory_nl,
-    request_sketch,
-    run_ablation,
-    run_pipeline,
-    savings_percent,
-    select_budget,
-    token_savings,
-    write_run,
-)
+from proofsketch.theory import Label, Literal, Polarity, Theory, parse_question, parse_theory_nl
+from proofsketch.closure import decide_from_closure, entity_has_closure_facts, forward_chain
+from proofsketch.sketch import ParseStatus, RawSketch, parse_sketch
+from proofsketch.generation import (Method, OracleGenerator, OracleNoiseConfig, ScriptedGenerator,
+                                    count_tokens, request_sketch)
+from proofsketch.selector import (AnswerSource, Certification, PipelineConfig, ScoreTuple,
+                                  compare_scores, run_pipeline, select_budget)
+from proofsketch.harness import (DatasetRecord, compute_metrics, evaluate, nearest_rank_p95,
+                                 run_ablation, savings_percent, token_savings, write_run)
 
-from helpers import random_question, random_theory, record_for
+from helpers import brute_force_closure, random_question, random_theory, record_for
 from test_generation import _StubEndpoint, _ok_payload
 from test_harness import table_fixture_records
 
@@ -429,7 +401,7 @@ def test_criterion_09_budget_enforcement() -> None:
 
     endpoint = _StubEndpoint()
     try:
-        from proofsketch import HttpGenerator
+        from proofsketch.generation import HttpGenerator
 
         client = HttpGenerator(endpoint.url, "m", backoff_base_s=0.01,
                                backoff_jitter_s=0.0)

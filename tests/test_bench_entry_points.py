@@ -5,23 +5,30 @@ and reports any it cannot find as "missing", which turns the per-layer
 metrics built on them into "missing" too. This test resolves every entry
 point the same way the tracer does, so a rename fails here first, and
 runs the tracer's result inspectors on real results, so a reshaped result
-type fails here instead of in a traced run. It only reads bench/tracing.py.
+type fails here instead of in a traced run. It also runs
+bench/setup_probe.py, which reads load_dataset off the package root. It
+only reads bench/.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from proofsketch import (GenerationRequest, Label, OracleGenerator, PipelineConfig, RawSketch,
-                         decide_from_closure, forward_chain, parse_question, parse_sketch,
-                         parse_theory_nl, run_pipeline, score_sketch)
+from proofsketch.theory import Label, parse_question, parse_theory_nl
+from proofsketch.closure import decide_from_closure, forward_chain
+from proofsketch.sketch import RawSketch, parse_sketch
+from proofsketch.generation import GenerationRequest, OracleGenerator
+from proofsketch.selector import PipelineConfig, run_pipeline, score_sketch
 
-TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACING_PATH = REPO / "bench" / "tracing.py"
 
 
 def _load_tracing():
@@ -90,3 +97,19 @@ def test_pipeline_and_score_inspectors_read_results() -> None:
     scored = score_sketch(sketch.parsed, sketch.raw, CLOSURE, decision)
     info = TRACING._score_info((sketch.parsed, sketch.raw, CLOSURE, decision), scored)
     assert info == {"cert": scored.score.cert} == {"cert": 1}
+
+
+def test_setup_probe_loads_through_package_root(tmp_path) -> None:
+    """bench/setup_probe.py times `import proofsketch` plus the root's
+    load_dataset in a fresh interpreter; it must keep working from src/."""
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"id": f"r{i}", "theory": "Anne is big.", "question": "Is Anne big?",
+                    "answer": "True"}) + "\n" for i in range(2)), encoding="utf-8")
+    src = REPO / "src"
+    completed = subprocess.run(
+        [sys.executable, str(REPO / "bench" / "setup_probe.py"), str(src), str(dataset)],
+        capture_output=True, text=True, check=True, timeout=60)
+    probe = json.loads(completed.stdout)
+    assert probe["records"] == 2
+    assert Path(probe["module"]).resolve().is_relative_to(src.resolve())

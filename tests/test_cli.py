@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-import proofsketch
 from proofsketch.cli import UsageError, _parse_budgets, _record_seed, main
+from proofsketch.closure import forward_chain
+from proofsketch.theory import parse_theory_nl
 
 from test_generation import _StubEndpoint, _ok_payload
 
@@ -315,6 +316,20 @@ class TestUserErrors:
         assert main(argv) == 2
         assert _error_line(capsys) == f"proofsketch: error: {message}"
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"methods": {"ZeroShot": {"cert_rate": 0.0, "mean_tokens": 1.0, "p95_tokens": 1.0,
+                                   "mean_latency_ms": 1.0, "n": 1}}},
+         "metrics.json: methods.ZeroShot.accuracy must be a number"),
+        ([], "metrics.json: expected an object with a 'methods' object"),
+        ({"methods": {"ZeroShot": {"accuracy": "x", "cert_rate": 0.0, "mean_tokens": 1.0,
+                                   "p95_tokens": 1.0, "mean_latency_ms": 1.0, "n": 1}}},
+         "metrics.json: methods.ZeroShot.accuracy must be a number"),
+    ])
+    def test_malformed_metrics(self, tmp_path, capsys, doc, message) -> None:
+        (tmp_path / "metrics.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 2
+        assert _error_line(capsys) == f"proofsketch: error: {message}"
+
     def test_config_type_edges(self, theory_file, tmp_path, capsys) -> None:
         config = tmp_path / "config.json"
         argv = ["answer", str(theory_file), "--question", "Is Bob kind?", "--config", str(config)]
@@ -354,7 +369,8 @@ class TestBudgetSpecParsing:
     def test_comma_form(self) -> None:
         assert _parse_budgets("64, 96,128") == [64, 96, 128]
 
-    @pytest.mark.parametrize("spec", ["30:10:5", "10:20:0", "1:2:3:4", "0,5", "abc", "-5:10:5"])
+    @pytest.mark.parametrize("spec", ["30:10:5", "10:20:0", "1:2:3:4", "0,5", "abc", "-5:10:5",
+                                      "", ","])
     def test_bad_specs(self, spec: str) -> None:
         with pytest.raises(UsageError):
             _parse_budgets(spec)
@@ -370,10 +386,10 @@ class TestRecordSeedMixing:
         assert _record_seed(7, "abc") != _record_seed(8, "abc")
 
 
-def _count_calls(monkeypatch, name: str) -> list:
+def _count_calls(monkeypatch, original) -> list:
     """Record the argument of every call to a package function, wherever
     a proofsketch module binds it."""
-    original = getattr(proofsketch, name)
+    name = original.__name__
     calls: list = []
 
     def counted(arg):
@@ -403,8 +419,8 @@ class TestSingleProducer:
         path.write_text("".join(
             json.dumps({"id": f"s-{i}", "theory": self.THEORIES[t], "question": q, "answer": a})
             + "\n" for i, (t, q, a) in enumerate(rows)), encoding="utf-8")
-        parses = _count_calls(monkeypatch, "parse_theory_nl")
-        closures = _count_calls(monkeypatch, "forward_chain")
+        parses = _count_calls(monkeypatch, parse_theory_nl)
+        closures = _count_calls(monkeypatch, forward_chain)
         assert main(["eval", str(path), "--method", "all", "--out", str(tmp_path / "run")]) == 0
         assert sorted(parses) == sorted(self.THEORIES)
         assert sorted(theory.source_text for theory in closures) == sorted(self.THEORIES)
@@ -412,7 +428,7 @@ class TestSingleProducer:
         assert len(records) == 4 * len(rows)
 
     def test_answer_closes_once(self, theory_file, capsys, monkeypatch) -> None:
-        closures = _count_calls(monkeypatch, "forward_chain")
+        closures = _count_calls(monkeypatch, forward_chain)
         assert main(["answer", str(theory_file), "--question", "Is Bob kind?"]) == 0
         assert json.loads(capsys.readouterr().out)["generator_calls"] == 1
         assert len(closures) == 1

@@ -7,19 +7,10 @@ import random
 
 import pytest
 
-from proofsketch import (
-    Label,
-    Literal,
-    Polarity,
-    brute_force_closure,
-    decide_from_closure,
-    entity_has_closure_facts,
-    forward_chain,
-    parse_question,
-    parse_theory_nl,
-)
+from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
+from proofsketch.closure import decide_from_closure, entity_has_closure_facts, forward_chain
 
-from helpers import random_question, random_theory, tiny_theory
+from helpers import brute_force_closure, random_question, random_theory, tiny_theory
 
 # Closures worked out by hand from the rendered theory text of
 # tiny_theory(random.Random(seed)).  Tuples are (entity, attribute,
@@ -187,7 +178,7 @@ class TestClosureProperties:
 
 
 def parse_theory_structured_with_rules(theory, rules):
-    from proofsketch import Theory
+    from proofsketch.theory import Theory
 
     return Theory(facts=theory.facts, rules=rules)
 

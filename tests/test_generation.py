@@ -15,36 +15,16 @@ import time
 
 import pytest
 
-from proofsketch import (
-    BASELINE_BUDGETS,
-    GenerationRequest,
-    GenerationTimeout,
-    Generator,
-    GeneratorError,
-    HttpGenerator,
-    Label,
-    Literal,
-    Method,
-    OracleGenerator,
-    OracleNoiseConfig,
-    ParseStatus,
-    PipelineConfig,
-    Polarity,
-    PROMPT_VERSION,
-    RawSketch,
-    ScriptExhaustedError,
-    ScriptedGenerator,
-    build_baseline_prompt,
-    build_sketch_prompt,
-    count_tokens,
-    forward_chain,
-    parse_question,
-    parse_sketch,
-    parse_theory_nl,
-    request_sketch,
-    select_budget,
-    truncate_to_tokens,
-)
+from proofsketch.theory import Label, parse_question, parse_theory_nl
+from proofsketch.closure import forward_chain
+from proofsketch.sketch import ParseStatus, RawSketch, parse_sketch
+from proofsketch.generation import (BASELINE_BUDGETS, GenerationRequest, GenerationTimeout,
+                                    Generator, GeneratorError, HttpGenerator, Method,
+                                    OracleGenerator, OracleNoiseConfig, PROMPT_VERSION,
+                                    ScriptExhaustedError, ScriptedGenerator, build_baseline_prompt,
+                                    build_sketch_prompt, count_tokens, request_sketch,
+                                    truncate_to_tokens)
+from proofsketch.selector import PipelineConfig, select_budget
 
 THEORY = parse_theory_nl(
     "Anne is big. Bob is round. If someone is big then they are kind."
@@ -166,7 +146,7 @@ class TestRequestSketch:
             name = "bragger"
 
             def generate(self, request: GenerationRequest):
-                from proofsketch import GenerationResponse
+                from proofsketch.generation import GenerationResponse
 
                 # Claims far more tokens than the text holds.
                 return GenerationResponse(text="tiny reply", completion_tokens=9999)
@@ -423,6 +403,12 @@ class TestHttpGenerator:
         stub.plan(("ok", _ok_payload("four short words here")))
         response = _client(stub).generate(REQUEST)
         assert response.completion_tokens == 4
+
+    @pytest.mark.parametrize("usage", ["oops", [1], 5, {"completion_tokens": True}])
+    def test_malformed_usage_counts_whitespace(self, stub, usage) -> None:
+        stub.plan(("ok", {**_ok_payload("four short words here"), "usage": usage}))
+        response = _client(stub).generate(REQUEST)
+        assert response.completion_tokens == 4 and type(response.completion_tokens) is int
 
     def test_server_errors_retried_then_succeed(self, stub) -> None:
         stub.plan(("status", 500), ("status", 503), ("ok", _ok_payload("recovered")))

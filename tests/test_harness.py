@@ -13,37 +13,15 @@ import random
 
 import pytest
 
-from proofsketch import (
-    AblationRow,
-    DatasetRecord,
-    EmptyDatasetError,
-    EmptyInputError,
-    EvalRecord,
-    Label,
-    Method,
-    MetricsReport,
-    OracleGenerator,
-    OracleNoiseConfig,
-    PipelineConfig,
-    ScriptedGenerator,
-    ablation_csv,
-    compute_metrics,
-    emit_report,
-    evaluate,
-    extract_label,
-    load_dataset,
-    nearest_rank_p95,
-    per_example_token_savings,
-    run_ablation,
-    run_baseline,
-    run_proofsketch,
-    savings_percent,
-    forward_chain,
-    parse_question,
-    parse_theory_nl,
-    token_savings,
-    write_run,
-)
+from proofsketch.theory import Label, parse_question, parse_theory_nl
+from proofsketch.closure import forward_chain
+from proofsketch.generation import Method, OracleGenerator, OracleNoiseConfig, ScriptedGenerator
+from proofsketch.selector import PipelineConfig
+from proofsketch.harness import (AblationRow, DatasetRecord, EmptyDatasetError, EmptyInputError,
+                                 EvalRecord, MetricsReport, ablation_csv, compute_metrics,
+                                 emit_report, evaluate, extract_label, load_dataset,
+                                 nearest_rank_p95, run_ablation, run_baseline, run_proofsketch,
+                                 savings_percent, token_savings, write_run)
 
 from helpers import record_for
 
@@ -383,41 +361,6 @@ class TestTokenSavings:
         with pytest.raises(ZeroDivisionError):
             token_savings(report, Method.PROOFSKETCH.value, Method.LONG_COT.value)
 
-    def test_per_example_differs_from_mean_ratio(self) -> None:
-        rows = [
-            EvalRecord("a", Method.PROOFSKETCH, Label.TRUE, True, True, 10, 0.0, 1),
-            EvalRecord("b", Method.PROOFSKETCH, Label.TRUE, True, True, 10, 0.0, 1),
-            EvalRecord("a", Method.LONG_COT, Label.TRUE, True, False, 100, 0.0, 1),
-            EvalRecord("b", Method.LONG_COT, Label.TRUE, True, False, 10, 0.0, 1),
-        ]
-        report = compute_metrics(rows)
-        mean_ratio = token_savings(report, Method.PROOFSKETCH.value, Method.LONG_COT.value)
-        per_example = per_example_token_savings(
-            rows, Method.PROOFSKETCH.value, Method.LONG_COT.value
-        )
-        assert mean_ratio == pytest.approx(1.0 - 20.0 / 110.0)
-        assert per_example == pytest.approx(0.45)
-        assert mean_ratio != per_example
-
-    def test_per_example_skips_zero_baseline_records(self) -> None:
-        rows = [
-            EvalRecord("a", Method.PROOFSKETCH, Label.TRUE, True, True, 5, 0.0, 1),
-            EvalRecord("b", Method.PROOFSKETCH, Label.TRUE, True, True, 5, 0.0, 1),
-            EvalRecord("a", Method.LONG_COT, Label.TRUE, True, False, 0, 0.0, 1),
-            EvalRecord("b", Method.LONG_COT, Label.TRUE, True, False, 10, 0.0, 1),
-        ]
-        assert per_example_token_savings(
-            rows, Method.PROOFSKETCH.value, Method.LONG_COT.value
-        ) == pytest.approx(0.5)
-
-    def test_per_example_no_overlap(self) -> None:
-        rows = [
-            EvalRecord("a", Method.PROOFSKETCH, Label.TRUE, True, True, 5, 0.0, 1),
-            EvalRecord("b", Method.LONG_COT, Label.TRUE, True, False, 10, 0.0, 1),
-        ]
-        with pytest.raises(EmptyInputError):
-            per_example_token_savings(rows, Method.PROOFSKETCH.value, Method.LONG_COT.value)
-
     def test_empty_records_rejected(self) -> None:
         with pytest.raises(EmptyInputError):
             compute_metrics([])
@@ -480,7 +423,7 @@ class TestWriteRun:
     def test_run_directory_layout(self, tmp_path) -> None:
         rows = table_fixture_records()[:10]
         report = compute_metrics(rows)
-        from proofsketch import RejectedLine
+        from proofsketch.harness import RejectedLine
 
         out = write_run(
             tmp_path / "run",

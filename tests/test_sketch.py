@@ -8,19 +8,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofsketch import (
-    Label,
-    Literal,
-    ParseStatus,
-    ParsedSketch,
-    Polarity,
-    RawSketch,
-    anchor_claims,
-    canonicalize_claim,
-    parse_question,
-    parse_sketch,
-    parse_theory_nl,
-)
+from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
+from proofsketch.sketch import (ParseStatus, ParsedSketch, RawSketch, anchor_claims,
+                                canonicalize_claim, parse_sketch)
 
 THEORY = parse_theory_nl(
     "Anne is big. Bob is not green. Carol is quiet. "

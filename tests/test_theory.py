@@ -7,23 +7,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from proofsketch import (
-    EmptySymbolError,
-    InconsistentFactsError,
-    Label,
-    Literal,
-    ParseError,
-    Polarity,
-    Rule,
-    SchemaError,
-    Theory,
-    canonicalize_symbol,
-    parse_question,
-    parse_theory_nl,
-    parse_theory_structured,
-)
+from proofsketch.theory import (EmptySymbolError, InconsistentFactsError, Label, Literal,
+                                ParseError, Polarity, Rule, SchemaError, Theory,
+                                canonicalize_symbol, parse_question, parse_theory_nl,
+                                parse_theory_structured)
 
-from helpers import random_theory
+from helpers import random_theory, to_structured
 
 
 class TestCanonicalizeSymbol:
@@ -120,7 +109,7 @@ class TestRuleInvariants:
             (("big", Polarity.POSITIVE), ("big", Polarity.NEGATIVE)),
             ("kind", Polarity.POSITIVE),
         )
-        assert rule.is_universal
+        assert rule.subject is None
 
 
 class TestTheoryInvariants:
@@ -258,7 +247,7 @@ class TestStructuredParsing:
         theory = parse_theory_structured(doc)
         assert theory.facts == {Literal("anne", "big", Polarity.POSITIVE),
                                 Literal("bob", "green", Polarity.NEGATIVE)}
-        assert theory.rules[0].is_universal
+        assert theory.rules[0].subject is None
 
     def test_concrete_subject(self) -> None:
         doc = {
@@ -337,7 +326,7 @@ class TestRoundTrips:
         rng = random.Random(20_240_817)
         for _ in range(150):
             theory = random_theory(rng)
-            again = parse_theory_structured(theory.to_structured())
+            again = parse_theory_structured(to_structured(theory))
             assert again == theory
 
     def test_nl_round_trip_random(self) -> None:
@@ -352,7 +341,7 @@ class TestRoundTrips:
         for _ in range(100):
             theory = random_theory(rng)
             from_text = parse_theory_nl(theory.to_text())
-            from_doc = parse_theory_structured(theory.to_structured())
+            from_doc = parse_theory_structured(to_structured(theory))
             assert from_text == from_doc
 
 
