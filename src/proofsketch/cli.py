@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import zlib
 from dataclasses import asdict, fields as dataclass_fields, replace
@@ -11,9 +12,9 @@ from pathlib import Path
 from typing import Callable
 
 from .closure import Closure, forward_chain
-from .generation import (PROMPT_VERSION, BASELINE_BUDGETS, Generator, GeneratorError,
-                         HttpGenerator, Method, OracleGenerator, OracleNoiseConfig,
-                         ScriptedGenerator)
+from .generation import (PROMPT_VERSION, BASELINE_BUDGETS, EndpointError, Generator,
+                         GeneratorError, HttpGenerator, Method, OracleGenerator,
+                         OracleNoiseConfig, ScriptedGenerator)
 from .harness import (EmptyDatasetError, MetricsReport, ablation_csv, compute_metrics,
                       emit_report, evaluate, load_dataset, run_ablation, write_run)
 from .selector import PipelineConfig, run_pipeline
@@ -74,6 +75,8 @@ def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
         types, described = _CONFIG_TYPES[key]
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             raise SchemaError(f"config key {key!r} must be {described}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(f"config key {key!r} must be a finite number")
     try:
         return doc, PipelineConfig(**{key: doc[key] for key in doc.keys() & _PIPELINE_KEYS})
     except ValueError as exc:
@@ -110,8 +113,9 @@ def _generator_for(args: argparse.Namespace,
                 max_retries=config_doc.get("max_retries", 2),
                 max_in_flight=config_doc.get("max_in_flight", 4),
             )
-        except ValueError as exc:
-            raise UsageError(f"config file: {exc}") from exc
+        except ValueError as exc:  # an EndpointError names the endpoint, wherever it came from
+            prefix = "" if isinstance(exc, EndpointError) else "config file: "
+            raise UsageError(f"{prefix}{exc}") from exc
     else:
         try:
             noise = OracleNoiseConfig(flip_answer_prob=args.flip, corrupt_claim_prob=args.corrupt,

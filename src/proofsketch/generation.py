@@ -17,6 +17,8 @@ it:
 
 A backend that a run shares across questions (scripted, http) is safe for
 concurrent calls; an oracle is built per question and never shared.
+HttpGenerator opens one http.client connection per attempt, verifies https
+with the default SSL context, and reads no proxy or .netrc settings.
 
 Token accounting for local backends is whitespace tokenization; the HTTP
 backend trusts the endpoint's usage.completion_tokens when it is a
@@ -31,6 +33,7 @@ changing any of it so run configuration stamps stay comparable.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
@@ -41,8 +44,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .closure import Closure, VerdictStatus, decide_from_closure, verify_claim
 from .sketch import RawSketch
@@ -296,11 +298,15 @@ class OracleGenerator:
         return GenerationResponse(text=text, completion_tokens=count_tokens(text))
 
 
+class EndpointError(ValueError):
+    """An endpoint URL the HTTP backend cannot call."""
+
+
 class HttpGenerator:
     """Chat-completions client for an OpenAI-compatible endpoint.
 
     Transport failures and 5xx responses are retried with exponential
-    backoff plus jitter; 4xx responses and deadline overruns fail
+    backoff plus jitter; 3xx and 4xx responses and deadline overruns fail
     immediately. The API key is read from the named environment variable
     at call time and never logged. max_in_flight bounds concurrency;
     instances are safe to share across threads.
@@ -317,7 +323,19 @@ class HttpGenerator:
             raise ValueError("max_retries must be non-negative")
         if max_in_flight < 1 or timeout_ms <= 0:
             raise ValueError("max_in_flight and timeout_ms must be positive")
-        self._endpoint_url = endpoint_url
+        try:
+            parts = urlsplit(endpoint_url)
+            parts.port  # ValueError on a port that is not a number in range
+        except ValueError:
+            parts = None
+        if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+                or "@" in parts.netloc or any(not " " < char < "\x7f" for char in endpoint_url)):
+            raise EndpointError(f"endpoint {endpoint_url!r} must be an http(s) URL in printable "
+                                "ASCII with a host and no user:password@ part")
+        self._connection_class = (http.client.HTTPSConnection if parts.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._netloc = parts.netloc
+        self._path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._model_name = model_name
         self._api_key_env = api_key_env
         self._timeout_s = timeout_ms / 1000.0
@@ -327,18 +345,6 @@ class HttpGenerator:
         self._gate = threading.BoundedSemaphore(max_in_flight)
         self._stats_lock = threading.Lock()
         self.retries_total = 0
-
-    def _note_retry(self) -> None:
-        with self._stats_lock:
-            self.retries_total += 1
-
-    def _payload(self, request: GenerationRequest) -> dict:
-        return {
-            "model": self._model_name,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-        }
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -367,43 +373,45 @@ class HttpGenerator:
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         last_error: GeneratorError | None = None
+        body = json.dumps({
+            "model": self._model_name,
+            "messages": [{"role": "user", "content": request.prompt}],
+            "max_tokens": request.max_tokens,
+            "temperature": request.temperature,
+        }).encode("utf-8")
         started = time.perf_counter()
         for attempt in range(self._max_retries + 1):
             if attempt:
-                self._note_retry()
+                with self._stats_lock:
+                    self.retries_total += 1
                 delay = self._backoff_base_s * (2 ** (attempt - 1))
                 delay += random.uniform(0.0, self._backoff_jitter_s)
                 time.sleep(delay)
             with self._gate:
+                connection = self._connection_class(self._netloc, timeout=self._timeout_s)
                 try:
-                    response = requests.post(
-                        self._endpoint_url,
-                        json=self._payload(request),
-                        headers=self._headers(),
-                        timeout=self._timeout_s,
-                    )
-                except requests.Timeout as exc:
+                    connection.request("POST", self._path, body, self._headers())
+                    with connection.getresponse() as response:
+                        status, data = response.status, response.read()
+                except TimeoutError as exc:
                     raise GenerationTimeout(
                         f"no response within {self._timeout_s * 1000:.0f} ms"
                     ) from exc
-                except requests.RequestException as exc:
+                except (OSError, http.client.HTTPException) as exc:
                     last_error = GeneratorError(f"transport failure: {exc}")
                     logger.debug("transport failure on attempt %d: %s", attempt + 1, exc)
                     continue
-            if response.status_code >= 500:
-                last_error = GeneratorError(
-                    f"server error {response.status_code}", status_code=response.status_code
-                )
-                logger.debug("server error %d on attempt %d", response.status_code, attempt + 1)
+                finally:
+                    connection.close()
+            if status >= 500:
+                last_error = GeneratorError(f"server error {status}", status_code=status)
+                logger.debug("server error %d on attempt %d", status, attempt + 1)
                 continue
-            if response.status_code >= 400:
-                raise GeneratorError(
-                    f"request rejected with status {response.status_code}",
-                    status_code=response.status_code,
-                )
+            if status >= 300:
+                raise GeneratorError(f"request rejected with status {status}", status_code=status)
             try:
-                data = response.json()
-            except ValueError as exc:
+                data = json.loads(data)
+            except (ValueError, RecursionError) as exc:
                 raise GeneratorError("completion payload is not JSON") from exc
             latency_ms = (time.perf_counter() - started) * 1000.0
             return self._extract(data, latency_ms)

@@ -142,8 +142,9 @@ def load_dataset(path: str | Path) -> LoadResult:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                rejects.append(RejectedLine(line_number, f"invalid JSON: {exc.msg}"))
+            except (json.JSONDecodeError, RecursionError) as exc:
+                reason = getattr(exc, "msg", "nested too deeply")
+                rejects.append(RejectedLine(line_number, f"invalid JSON: {reason}"))
                 continue
             try:
                 records.append(_validate_line(obj, closures))

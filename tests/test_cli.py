@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +306,15 @@ class TestUserErrors:
          ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
           "--model", "m"],
          "config file: max_in_flight and timeout_ms must be positive"),
+        ({"temperature": float("nan")}, [], "config key 'temperature' must be a finite number"),
+        ({"timeout_ms": float("nan")},
+         ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+          "--model", "m"],
+         "config key 'timeout_ms' must be a finite number"),
+        ({"timeout_ms": float("inf")},
+         ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+          "--model", "m"],
+         "config key 'timeout_ms' must be a finite number"),
     ])
     def test_config_value_types(self, theory_file, dataset, tmp_path, capsys, doc, backend,
                                 message) -> None:
@@ -315,6 +328,17 @@ class TestUserErrors:
         argv = [*command, "--config", str(config), *backend]
         assert main(argv) == 2
         assert _error_line(capsys) == f"proofsketch: error: {message}"
+
+    @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://h/x", "http:///x", "http://u:p@h/x"])
+    def test_bad_endpoint(self, theory_file, capsys, monkeypatch, endpoint) -> None:
+        # Rejected before any connection is tried, so no retry backoff sleeps.
+        monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
+        argv = ["answer", str(theory_file), "--question", "Is Bob kind?",
+                "--backend", "http", "--endpoint", endpoint, "--model", "m"]
+        assert main(argv) == 2
+        line = _error_line(capsys)
+        assert repr(endpoint) in line
+        assert not line.startswith("proofsketch: error: config file:")
 
     @pytest.mark.parametrize("doc, message", [
         ({"methods": {"ZeroShot": {"cert_rate": 0.0, "mean_tokens": 1.0, "p95_tokens": 1.0,
@@ -432,3 +456,18 @@ class TestSingleProducer:
         assert main(["answer", str(theory_file), "--question", "Is Bob kind?"]) == 0
         assert json.loads(capsys.readouterr().out)["generator_calls"] == 1
         assert len(closures) == 1
+
+
+def test_runtime_imports_only_stdlib() -> None:
+    # Diffed against a snapshot: site hooks may preload third-party modules
+    # before any package import.
+    code = ("import sys; before = set(sys.modules); import proofsketch.cli; "
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    completed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, timeout=60, env=env)
+    new = set(completed.stdout.split())
+    assert "proofsketch" in new
+    assert new - {"proofsketch"} <= sys.stdlib_module_names

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import re
 import sys
 import threading
 import time
@@ -426,12 +427,14 @@ class TestHttpGenerator:
         assert excinfo.value.status_code == 500
         assert len(stub.requests) == 2
 
-    def test_client_error_fails_immediately(self, stub) -> None:
-        stub.plan(("status", 404))
+    @pytest.mark.parametrize("status", [404, 302])
+    def test_client_error_fails_immediately(self, stub, status) -> None:
+        # A redirect is not followed: it fails at once, like a 4xx.
+        stub.plan(("status", status))
         client = _client(stub, max_retries=3)
         with pytest.raises(GeneratorError) as excinfo:
             client.generate(REQUEST)
-        assert excinfo.value.status_code == 404
+        assert excinfo.value.status_code == status
         assert client.retries_total == 0
         assert len(stub.requests) == 1
 
@@ -474,6 +477,11 @@ class TestHttpGenerator:
         with pytest.raises(GeneratorError):
             client.generate(REQUEST)
         assert client.retries_total == 1
+
+    @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://h/x", "http:///x", "http://u:p@h/x"])
+    def test_bad_endpoint_rejected_at_construction(self, endpoint) -> None:
+        with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
+            HttpGenerator(endpoint, "test-model")
 
     def test_api_key_header(self, stub, monkeypatch) -> None:
         monkeypatch.setenv("PROOFSKETCH_API_KEY", "sk-test-abc")

@@ -78,6 +78,14 @@ class TestLoadDataset:
         assert "invalid JSON" in reasons
         assert "perhaps" in reasons
 
+    def test_deeply_nested_line_rejected(self, tmp_path) -> None:
+        path = tmp_path / "data.jsonl"
+        _write_jsonl(path, [VALID_LINE, "[" * 200_000])
+        loaded = load_dataset(path)
+        assert len(loaded.records) == 1
+        assert [reject.line_number for reject in loaded.rejects] == [2]
+        assert loaded.rejects[0].reason.startswith("invalid JSON")
+
     def test_empty_dataset_rejected(self, tmp_path) -> None:
         path = tmp_path / "data.jsonl"
         _write_jsonl(path, ["{broken"])
