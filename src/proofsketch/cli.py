@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import zlib
 from dataclasses import asdict, fields as dataclass_fields, replace
@@ -75,7 +74,8 @@ def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
         types, described = _CONFIG_TYPES[key]
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             raise SchemaError(f"config key {key!r} must be {described}")
-        if isinstance(value, float) and not math.isfinite(value):
+        # Also rejects NaN, and integers too large for a float.
+        if float in types and not abs(value) <= sys.float_info.max:
             raise SchemaError(f"config key {key!r} must be a finite number")
     try:
         return doc, PipelineConfig(**{key: doc[key] for key in doc.keys() & _PIPELINE_KEYS})

@@ -147,3 +147,10 @@ def decide_from_closure(closure: Closure, question: Question) -> Label:
 
 def entity_has_closure_facts(closure: Closure, entity: str) -> bool:
     return bool(closure.entity_index.get(entity))
+
+
+def entity_has_verifiable_literal(closure: Closure, entity: str) -> bool:
+    """Whether any claim about entity can be Verified: only closure
+    literals verify, and only when their negation is not derivable."""
+    return any(verify_claim(literal, closure) is VerdictStatus.VERIFIED
+               for literal in closure.entity_index.get(entity, ()))

@@ -39,6 +39,7 @@ import logging
 import os
 import random
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -138,8 +139,8 @@ class GenerationRequest:
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be at least 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 <= self.temperature <= sys.float_info.max:
+            raise ValueError("temperature must be a finite non-negative number")
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,7 @@ class HttpGenerator:
                  max_in_flight: int = 4) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if max_in_flight < 1 or timeout_ms <= 0:
+        if max_in_flight < 1 or not 0 < timeout_ms <= sys.float_info.max:
             raise ValueError("max_in_flight and timeout_ms must be positive")
         try:
             parts = urlsplit(endpoint_url)
@@ -330,7 +331,9 @@ class HttpGenerator:
             parts = None
         if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
                 or "@" in parts.netloc or any(not " " < char < "\x7f" for char in endpoint_url)):
-            raise EndpointError(f"endpoint {endpoint_url!r} must be an http(s) URL in printable "
+            # Name the endpoint, but never the password in a user:password@ part.
+            shown = re.sub(r"(^|//)([^/?#:]*):[^/?#]*@", r"\1\2:***@", endpoint_url)
+            raise EndpointError(f"endpoint {shown!r} must be an http(s) URL in printable "
                                 "ASCII with a host and no user:password@ part")
         self._connection_class = (http.client.HTTPSConnection if parts.scheme == "https"
                                   else http.client.HTTPConnection)

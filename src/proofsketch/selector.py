@@ -2,10 +2,12 @@
 
 run_pipeline answers one question about a closed theory in stages: return
 immediately when the closure already decides the question; otherwise
-sample up to max_sketches budgeted sketches, verify every anchored claim
-against the closure, and stop early on the first sketch whose claims all
-verify. If no sketch fully certifies, the best one wins under a
-lexicographic score and the closure gets a final veto over the answer.
+sample up to max_sketches budgeted sketches, or 1 when the closure can
+verify nothing about the queried entity (claims are anchored to it, so no
+sketch could certify), verify every anchored claim against the closure,
+and stop early on the first sketch whose claims all verify. If no sketch
+fully certifies, the best one wins under a lexicographic score and the
+closure gets a final veto over the answer.
 
 The score orders sketches by full certification, then number of verified
 claims, then fewer generated tokens, then consistency (no contradicted
@@ -22,12 +24,13 @@ total, read off the sketches it kept.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 from .closure import (Closure, VerdictStatus, decide_from_closure, entity_has_closure_facts,
-                      verify_claim)
+                      entity_has_verifiable_literal, verify_claim)
 from .generation import Generator, GeneratorError, build_sketch_prompt, request_sketch
 from .sketch import ParsedSketch, RawSketch, anchor_claims, parse_sketch
 from .theory import Label, Literal, Question
@@ -101,6 +104,10 @@ class ScoredSketch:
 class PipelineConfig:
     """Knobs for run_pipeline.
 
+    max_sketches caps the sketches sampled per question; run_pipeline
+    samples 1 when the closure can verify nothing about the queried entity,
+    since claims are anchored to it and no sketch could certify.
+
     Exactly one budget policy applies: setting fixed_budget switches the
     adaptive two-tier policy off, and leaving it unset switches it on.
     closure_short_circuit exists for diagnostics; with it off, closure-
@@ -128,8 +135,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.fixed_budget is not None and self.fixed_budget < 1:
             raise ValueError("fixed_budget must be at least 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 <= self.temperature <= sys.float_info.max:
+            raise ValueError("temperature must be a finite non-negative number")
 
     @property
     def adaptive_budget(self) -> bool:
@@ -250,8 +257,11 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
     budget = select_budget(closure, question, config)
     prompt = build_sketch_prompt(closure.theory, question)
     scored: list[ScoredSketch] = []
+    # Only claims about the queried entity are kept, so without a
+    # verifiable literal about it no sketch can certify: sample once.
+    certifiable = entity_has_verifiable_literal(closure, question.target.entity)
 
-    for call_index in range(config.max_sketches):
+    for call_index in range(config.max_sketches if certifiable else 1):
         try:
             raw = request_sketch(generator, prompt, budget, config.temperature)
         except GeneratorError as exc:

@@ -315,6 +315,12 @@ class TestUserErrors:
          ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
           "--model", "m"],
          "config key 'timeout_ms' must be a finite number"),
+        # Integers too large for a float are not finite numbers either.
+        ({"timeout_ms": 10 ** 400},
+         ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+          "--model", "m"],
+         "config key 'timeout_ms' must be a finite number"),
+        ({"temperature": -10 ** 400}, [], "config key 'temperature' must be a finite number"),
     ])
     def test_config_value_types(self, theory_file, dataset, tmp_path, capsys, doc, backend,
                                 message) -> None:
@@ -329,7 +335,7 @@ class TestUserErrors:
         assert main(argv) == 2
         assert _error_line(capsys) == f"proofsketch: error: {message}"
 
-    @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://h/x", "http:///x", "http://u:p@h/x"])
+    @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://h/x", "http:///x"])
     def test_bad_endpoint(self, theory_file, capsys, monkeypatch, endpoint) -> None:
         # Rejected before any connection is tried, so no retry backoff sleeps.
         monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
@@ -339,6 +345,14 @@ class TestUserErrors:
         line = _error_line(capsys)
         assert repr(endpoint) in line
         assert not line.startswith("proofsketch: error: config file:")
+
+    def test_endpoint_password_not_echoed(self, theory_file, capsys) -> None:
+        argv = ["answer", str(theory_file), "--question", "Is Bob kind?",
+                "--backend", "http", "--endpoint", "http://u:secret@h/x", "--model", "m"]
+        assert main(argv) == 2
+        line = _error_line(capsys)
+        assert "'http://u:***@h/x'" in line
+        assert "secret" not in line
 
     @pytest.mark.parametrize("doc, message", [
         ({"methods": {"ZeroShot": {"cert_rate": 0.0, "mean_tokens": 1.0, "p95_tokens": 1.0,

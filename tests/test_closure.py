@@ -8,7 +8,8 @@ import random
 import pytest
 
 from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
-from proofsketch.closure import decide_from_closure, entity_has_closure_facts, forward_chain
+from proofsketch.closure import (VerdictStatus, decide_from_closure, entity_has_closure_facts,
+                                 entity_has_verifiable_literal, forward_chain, verify_claim)
 
 from helpers import brute_force_closure, random_question, random_theory, tiny_theory
 
@@ -282,3 +283,19 @@ class TestEntityHasClosureFacts:
             entity = question.target.entity
             expected = any(lit.entity == entity for lit in closure.literals)
             assert entity_has_closure_facts(closure, entity) is expected
+
+
+class TestEntityHasVerifiableLiteral:
+    def test_matches_brute_force_on_random_theories(self) -> None:
+        rng = random.Random(29)
+        for _ in range(200):
+            theory = random_theory(rng)
+            closure = forward_chain(theory)
+            reference = brute_force_closure(theory)
+            for entity in sorted(theory.entities()) + ["zed"]:
+                expected = any(
+                    verify_claim(Literal(entity, attribute, polarity), reference)
+                    is VerdictStatus.VERIFIED
+                    for attribute in theory.attributes() for polarity in Polarity
+                )
+                assert entity_has_verifiable_literal(closure, entity) is expected

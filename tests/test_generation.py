@@ -19,9 +19,9 @@ import pytest
 from proofsketch.theory import Label, parse_question, parse_theory_nl
 from proofsketch.closure import forward_chain
 from proofsketch.sketch import ParseStatus, RawSketch, parse_sketch
-from proofsketch.generation import (BASELINE_BUDGETS, GenerationRequest, GenerationTimeout,
-                                    Generator, GeneratorError, HttpGenerator, Method,
-                                    OracleGenerator, OracleNoiseConfig, PROMPT_VERSION,
+from proofsketch.generation import (BASELINE_BUDGETS, EndpointError, GenerationRequest,
+                                    GenerationTimeout, Generator, GeneratorError, HttpGenerator,
+                                    Method, OracleGenerator, OracleNoiseConfig, PROMPT_VERSION,
                                     ScriptExhaustedError, ScriptedGenerator, build_baseline_prompt,
                                     build_sketch_prompt, count_tokens, request_sketch,
                                     truncate_to_tokens)
@@ -155,6 +155,18 @@ class TestRequestSketch:
         raw = request_sketch(Bragger(), "p", max_tokens=10, temperature=0.0)
         assert raw.token_count == 2
         assert raw.text == "tiny reply"
+
+
+class TestGenerationRequest:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_tokens": 0}, {"max_tokens": 5, "temperature": -0.1},
+        {"max_tokens": 5, "temperature": float("nan")},
+        {"max_tokens": 5, "temperature": float("inf")},
+        {"max_tokens": 5, "temperature": 10 ** 400},
+    ])
+    def test_invalid_rejected(self, kwargs) -> None:
+        with pytest.raises(ValueError):
+            GenerationRequest("p", **kwargs)
 
 
 class TestScriptedGenerator:
@@ -478,10 +490,29 @@ class TestHttpGenerator:
             client.generate(REQUEST)
         assert client.retries_total == 1
 
-    @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://h/x", "http:///x", "http://u:p@h/x"])
+    @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://h/x", "http:///x"])
     def test_bad_endpoint_rejected_at_construction(self, endpoint) -> None:
         with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
             HttpGenerator(endpoint, "test-model")
+
+    @pytest.mark.parametrize("endpoint, shown", [
+        ("http://u:secret@h/x", "http://u:***@h/x"),
+        ("https://u:secret@h:99999/x?q", "https://u:***@h:99999/x?q"),
+        ("http://a@b:secret@h/x", "http://a@b:***@h/x"),
+    ], ids=("user-password", "bad-port", "at-in-username"))
+    def test_bad_endpoint_hides_password(self, endpoint, shown) -> None:
+        with pytest.raises(EndpointError) as excinfo:
+            HttpGenerator(endpoint, "test-model")
+        assert repr(shown) in str(excinfo.value)
+        assert "secret" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"timeout_ms": 0}, {"timeout_ms": float("nan")}, {"timeout_ms": float("inf")},
+        {"timeout_ms": 10 ** 400}, {"max_in_flight": 0}, {"max_retries": -1},
+    ])
+    def test_invalid_settings_rejected(self, kwargs) -> None:
+        with pytest.raises(ValueError):
+            HttpGenerator("http://127.0.0.1:9/v1/chat/completions", "test-model", **kwargs)
 
     def test_api_key_header(self, stub, monkeypatch) -> None:
         monkeypatch.setenv("PROOFSKETCH_API_KEY", "sk-test-abc")

@@ -189,6 +189,9 @@ class TestPipelineConfig:
             {"budget_unanchored": -5},
             {"fixed_budget": 0},
             {"temperature": -0.1},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"temperature": 10 ** 400},
         ],
     )
     def test_invalid_rejected(self, kwargs) -> None:
@@ -300,6 +303,37 @@ class TestRunPipeline:
         config = PipelineConfig(max_sketches=2)
         result = run_pipeline(CLOSURE, OPEN_Q, config, generator)
         assert result.generator_calls == 2
+
+    def test_entity_absent_from_closure_samples_once(self) -> None:
+        # Zed has no closure literal, so no anchored claim can verify and
+        # no sketch can certify: one call, and its answer stands.
+        script = ['{"answer": "False", "claims": ["zed is kind"]}',
+                  '{"answer": "True", "claims": ["zed is big"]}',
+                  '{"answer": "Unknown", "claims": []}',
+                  FAILED_SKETCH]
+        generator = ScriptedGenerator(script)
+        result = run_pipeline(CLOSURE, parse_question("Is Zed kind?"), PipelineConfig(),
+                              generator)
+        assert result.generator_calls == 1 and generator.calls == 1
+        assert result.answer_source is AnswerSource.BEST_SKETCH
+        assert result.answer is Label.FALSE
+
+    def test_entity_with_only_contradicted_literals_samples_once(self) -> None:
+        # Anne is big and, by the rule, not big: both literals about anne
+        # are Contradicted, so no claim about anne can verify.
+        closure = forward_chain(parse_theory_nl(
+            "Anne is big. Bob is round. If someone is big then they are not big."
+        ))
+        script = ['{"answer": "True", "claims": ["anne is big"]}',
+                  '{"answer": "False", "claims": ["anne is not big"]}',
+                  '{"answer": "Unknown", "claims": ["anne is kind"]}',
+                  FAILED_SKETCH]
+        generator = ScriptedGenerator(script)
+        result = run_pipeline(closure, parse_question("Is Anne kind?"), PipelineConfig(),
+                              generator)
+        assert result.generator_calls == 1 and generator.calls == 1
+        assert result.answer_source is AnswerSource.BEST_SKETCH
+        assert result.answer is Label.TRUE
 
     def test_tie_keeps_earliest(self) -> None:
         # Same score either way (closure undecided, equal token counts),
