@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import zlib
@@ -44,6 +45,11 @@ _CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
 }
 
 
+# The largest --workers: the thread pool starts a thread for each pair
+# submitted, up to this many, so an unbounded value could start thousands.
+_MAX_WORKERS = 64
+
+
 class UsageError(Exception):
     """A command-line argument or config value the command cannot run with."""
 
@@ -53,8 +59,15 @@ _USER_ERRORS = (UsageError, OSError, json.JSONDecodeError, ParseError, SchemaErr
                 InconsistentFactsError, EmptyDatasetError, GeneratorError)
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
+
+
 def _load_theory_file(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if path.endswith(".json"):
         return parse_theory_structured(json.loads(text))
     return parse_theory_nl(text)
@@ -64,7 +77,7 @@ def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
     """The --config document, type-checked, and the PipelineConfig it sets."""
     if not path:
         return {}, PipelineConfig()
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(_read_text(path))
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_TYPES))
@@ -95,7 +108,7 @@ def _generator_for(args: argparse.Namespace,
     if args.backend == "scripted":
         if not args.script:
             raise UsageError("--backend scripted requires --script <file>")
-        script = json.loads(Path(args.script).read_text(encoding="utf-8"))
+        script = json.loads(_read_text(args.script))
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise UsageError("script file must hold a JSON array of strings")
         shared = ScriptedGenerator(script, strict=False)
@@ -241,13 +254,16 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     metrics_path = Path(args.run_dir) / "metrics.json"
-    doc = json.loads(metrics_path.read_text(encoding="utf-8"))
+    doc = json.loads(_read_text(metrics_path))
     report = MetricsReport.from_json_dict(doc)
     print(emit_report(report, args.format), end="")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every main()
+    call in the process. Parsing only reads it, so threads may share it."""
     parser = argparse.ArgumentParser(
         prog="proofsketch",
         description="Verification-guided question answering over unary logical theories",
@@ -291,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise UsageError("--workers must be at least 1")
+        if not 1 <= getattr(args, "workers", 1) <= _MAX_WORKERS:
+            raise UsageError(f"--workers must be between 1 and {_MAX_WORKERS}")
         return args.handler(args)
     except _USER_ERRORS as exc:
         message = " ".join(str(exc).split())

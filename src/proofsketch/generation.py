@@ -322,8 +322,10 @@ class HttpGenerator:
                  max_in_flight: int = 4) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if max_in_flight < 1 or not 0 < timeout_ms <= sys.float_info.max:
-            raise ValueError("max_in_flight and timeout_ms must be positive")
+        if max_in_flight < 1:
+            raise ValueError("max_in_flight must be at least 1")
+        if not 0 < timeout_ms <= sys.float_info.max:
+            raise ValueError("timeout_ms must be a finite positive number")
         try:
             parts = urlsplit(endpoint_url)
             parts.port  # ValueError on a port that is not a number in range

@@ -131,14 +131,21 @@ def load_dataset(path: str | Path) -> LoadResult:
     """Read a JSONL dataset, validating every non-blank line.
 
     Raises EmptyDatasetError when nothing validates; file-system problems
-    propagate as OSError.
+    propagate as OSError. A line that is not valid UTF-8 is rejected alone.
     """
     records: list[DatasetRecord] = []
     rejects: list[RejectedLine] = []
     closures: dict[str, Closure] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    # surrogateescape turns each undecodable byte into a lone surrogate, which
+    # encoding back to UTF-8 finds, so lines split as they would if decoded strictly.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
+                continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                rejects.append(RejectedLine(line_number, "not valid UTF-8"))
                 continue
             try:
                 obj = json.loads(line)

@@ -6,12 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from proofsketch.cli import UsageError, _parse_budgets, _record_seed, main
+from proofsketch import cli
+from proofsketch.cli import UsageError, _parse_budgets, _record_seed, build_parser, main
 from proofsketch.closure import forward_chain
 from proofsketch.theory import parse_theory_nl
 
@@ -300,12 +303,12 @@ class TestUserErrors:
         ({"closure_short_circuit": "no"}, [],
          "config key 'closure_short_circuit' must be a boolean"),
         ({"max_sketches": 0}, [], "config file: max_sketches must be at least 1"),
-        ({}, ["eval", "--workers", "0"], "--workers must be at least 1"),
+        ({}, ["eval", "--workers", "0"], "--workers must be between 1 and 64"),
         ({}, ["eval", "--flip", "2"], "flip_answer_prob must lie in [0, 1]"),
         ({"max_in_flight": 0},
          ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
           "--model", "m"],
-         "config file: max_in_flight and timeout_ms must be positive"),
+         "config file: max_in_flight must be at least 1"),
         ({"temperature": float("nan")}, [], "config key 'temperature' must be a finite number"),
         ({"timeout_ms": float("nan")},
          ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
@@ -334,6 +337,49 @@ class TestUserErrors:
         argv = [*command, "--config", str(config), *backend]
         assert main(argv) == 2
         assert _error_line(capsys) == f"proofsketch: error: {message}"
+
+    @pytest.mark.parametrize("command, workers", [
+        ("eval", "65"), ("eval", "100000"), ("ablate", "100000"),
+    ])
+    def test_workers_ceiling(self, dataset, capsys, monkeypatch, command, workers) -> None:
+        # Rejected before any pool exists: never start one this large.
+        for name in ("evaluate", "run_ablation"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("a pool was started"))
+        threads = threading.active_count()
+        assert main([command, str(dataset), "--workers", workers]) == 2
+        assert _error_line(capsys) == "proofsketch: error: --workers must be between 1 and 64"
+        assert threading.active_count() == threads
+
+    def test_workers_at_ceiling_accepted(self, dataset, capsys) -> None:
+        assert main(["eval", str(dataset), "--method", "sketch", "--workers", "64"]) == 0
+        assert "ProofSketch" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, name", [
+        (["answer", "{path}", "--question", "Is Bob kind?"], "theory.txt"),
+        (["closure", "{path}"], "theory.json"),
+        (["answer", "{theory}", "--question", "Is Bob kind?", "--config", "{path}"],
+         "config.json"),
+        (["answer", "{theory}", "--question", "Is Bob kind?", "--backend", "scripted",
+          "--script", "{path}"], "script.json"),
+        (["report", "{dir}"], "metrics.json"),
+    ], ids=("theory-text", "theory-json", "config", "script", "metrics"))
+    def test_non_utf8_file(self, theory_file, tmp_path, capsys, command, name) -> None:
+        path = tmp_path / name
+        path.write_bytes(b'{"a": "\xff"}')
+        argv = [arg.format(path=path, theory=theory_file, dir=tmp_path) for arg in command]
+        assert main(argv) == 2
+        assert _error_line(capsys) == f"proofsketch: error: {path}: not valid UTF-8 (byte 7)"
+
+    def test_non_utf8_dataset_line_rejected(self, dataset, tmp_path, capsys) -> None:
+        with open(dataset, "ab") as handle:
+            handle.write(b'{"id": "\xff"}\n')
+        out_dir = tmp_path / "run"
+        assert main(["eval", str(dataset), "--method", "sketch", "--out", str(out_dir)]) == 0
+        assert "rejected 1 line(s)" in capsys.readouterr().err
+        rejects = (out_dir / "rejects.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in rejects] == [
+            {"line": len(DATASET_ROWS) + 1, "reason": "not valid UTF-8"}]
+        assert len((out_dir / "records.jsonl").read_text().splitlines()) == len(DATASET_ROWS)
 
     @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://h/x", "http:///x"])
     def test_bad_endpoint(self, theory_file, capsys, monkeypatch, endpoint) -> None:
@@ -470,6 +516,62 @@ class TestSingleProducer:
         assert main(["answer", str(theory_file), "--question", "Is Bob kind?"]) == 0
         assert json.loads(capsys.readouterr().out)["generator_calls"] == 1
         assert len(closures) == 1
+
+
+class TestSharedParser:
+    """main() reuses one parser; parsing must leave nothing behind in it."""
+
+    def test_built_once(self) -> None:
+        assert build_parser() is build_parser()
+
+    def test_no_state_carries_over(self, theory_file, tmp_path) -> None:
+        parse = build_parser().parse_args
+        base = ["answer", str(theory_file), "--question", "Is Bob kind?"]
+        first = parse([*base, "--seed", "7", "--flip", "0.5", "--config", str(tmp_path / "c")])
+        assert (first.seed, first.flip) == (7, 0.5)
+        second = parse(base)
+        assert (second.seed, second.flip, second.config) == (0, 0.0, None)
+
+    def test_usage_error_leaves_parser_usable(self, theory_file, capsys) -> None:
+        argv = ["answer", str(theory_file), "--question", "Is Bob kind?"]
+
+        def answer() -> dict:
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("latency_ms")
+            return payload
+
+        before = answer()
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--no-such-flag"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert answer() == before
+
+    def test_threads_parse_like_serial(self, theory_file, dataset, tmp_path) -> None:
+        argvs = []
+        for i in range(50):
+            argvs += [
+                ["answer", str(theory_file), "--question", f"Is Bob kind{i}?", "--seed", str(i),
+                 *(["--flip", "0.5"] if i % 2 else []), "--backend", ("oracle", "http")[i % 2]],
+                ["eval", str(dataset), "--workers", str(1 + i % 8), "--seed", str(i),
+                 "--method", ("zero", "sketch", "all")[i % 3],
+                 *(["--out", str(i)] if i % 4 else [])],
+                ["ablate", str(dataset), "--budgets", f"{10 + i},200", "--malform", "0.1"],
+                ["report", str(tmp_path / str(i)), "--format", ("md", "csv", "json")[i % 3]],
+            ]
+        serial = [vars(build_parser().parse_args(argv)) for argv in argvs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda a: vars(build_parser().parse_args(a)), argv)
+                           for argv in argvs]
+                threaded = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({repr(args) for args in serial}) == len(argvs) == 200
+        assert threaded == serial
 
 
 def test_runtime_imports_only_stdlib() -> None:

@@ -511,8 +511,11 @@ class TestHttpGenerator:
         {"timeout_ms": 10 ** 400}, {"max_in_flight": 0}, {"max_retries": -1},
     ])
     def test_invalid_settings_rejected(self, kwargs) -> None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             HttpGenerator("http://127.0.0.1:9/v1/chat/completions", "test-model", **kwargs)
+        # The message names the bad setting and no other.
+        settings = ("timeout_ms", "max_in_flight", "max_retries")
+        assert {name for name in settings if name in str(excinfo.value)} == set(kwargs)
 
     def test_api_key_header(self, stub, monkeypatch) -> None:
         monkeypatch.setenv("PROOFSKETCH_API_KEY", "sk-test-abc")

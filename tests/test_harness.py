@@ -78,6 +78,21 @@ class TestLoadDataset:
         assert "invalid JSON" in reasons
         assert "perhaps" in reasons
 
+    def test_undecodable_line_rejected_alone(self, tmp_path) -> None:
+        path = tmp_path / "data.jsonl"
+        rows = [json.dumps(dict(VALID_LINE, id=f"ex-{i}")).encode() for i in range(1, 6)]
+        path.write_bytes(b"".join([
+            rows[0], b"\r\n",
+            rows[1].replace(b"Anne", b"An\xffne"), b"\n",
+            rows[2], b"\r",  # a lone CR ends a line, as under strict decoding
+            b"\xe2\x82\n",  # a truncated multi-byte sequence
+            rows[4], b"\n",
+        ]))
+        loaded = load_dataset(path)
+        assert [record.record_id for record in loaded.records] == ["ex-1", "ex-3", "ex-5"]
+        assert [(reject.line_number, reject.reason) for reject in loaded.rejects] == [
+            (2, "not valid UTF-8"), (4, "not valid UTF-8")]
+
     def test_deeply_nested_line_rejected(self, tmp_path) -> None:
         path = tmp_path / "data.jsonl"
         _write_jsonl(path, [VALID_LINE, "[" * 200_000])
