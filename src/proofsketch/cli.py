@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import zlib
 from dataclasses import asdict, fields as dataclass_fields, replace
@@ -30,6 +31,9 @@ _METHOD_CHOICES = {
 }
 
 _PIPELINE_KEYS = {f.name for f in dataclass_fields(PipelineConfig)}
+# The --config keys passed to HttpGenerator as they are; its signature
+# holds their defaults.
+_HTTP_KEYS = {"api_key_env", "timeout_ms", "max_retries", "max_in_flight"}
 
 # Every --config key (the PipelineConfig fields and the http backend's
 # settings) with its accepted JSON types. bool is an int subclass in
@@ -118,14 +122,8 @@ def _generator_for(args: argparse.Namespace,
         if not endpoint or not model:
             raise UsageError("--backend http requires --endpoint and --model")
         try:
-            shared = HttpGenerator(
-                endpoint,
-                model,
-                api_key_env=config_doc.get("api_key_env", "PROOFSKETCH_API_KEY"),
-                timeout_ms=config_doc.get("timeout_ms", 30000.0),
-                max_retries=config_doc.get("max_retries", 2),
-                max_in_flight=config_doc.get("max_in_flight", 4),
-            )
+            settings = {key: config_doc[key] for key in config_doc.keys() & _HTTP_KEYS}
+            shared = HttpGenerator(endpoint, model, **settings)
         except ValueError as exc:  # an EndpointError names the endpoint, wherever it came from
             prefix = "" if isinstance(exc, EndpointError) else "config file: "
             raise UsageError(f"{prefix}{exc}") from exc
@@ -309,7 +307,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 1 <= getattr(args, "workers", 1) <= _MAX_WORKERS:
             raise UsageError(f"--workers must be between 1 and {_MAX_WORKERS}")
-        return args.handler(args)
+        status = args.handler(args)
+        # Flush here, so that a closed stdout fails inside this try and not at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (`| head`): exit 1 quietly, as Python's signal
+        # docs advise, with stdout on devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _USER_ERRORS as exc:
         message = " ".join(str(exc).split())
         print(f"proofsketch: error: {message}", file=sys.stderr)

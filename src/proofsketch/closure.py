@@ -18,9 +18,10 @@ reference it is tested against, a fixpoint that re-applies every rule to
 every entity until nothing changes, lives in tests/helpers.py.
 
 What the closure says about a literal is answered here only: verify_claim
-gives its verdict (Verified, Contradicted, Unsupported), and
+gives its verdict (Verified, Contradicted, Unsupported),
 decide_from_closure reads a question's label off the verdicts of its
-target and the target's negation, Unknown meaning undecided.
+target and the target's negation, Unknown meaning undecided, and
+verified_literals lists the literals about one entity that verify.
 """
 
 from __future__ import annotations
@@ -149,8 +150,10 @@ def entity_has_closure_facts(closure: Closure, entity: str) -> bool:
     return bool(closure.entity_index.get(entity))
 
 
-def entity_has_verifiable_literal(closure: Closure, entity: str) -> bool:
-    """Whether any claim about entity can be Verified: only closure
-    literals verify, and only when their negation is not derivable."""
-    return any(verify_claim(literal, closure) is VerdictStatus.VERIFIED
-               for literal in closure.entity_index.get(entity, ()))
+def verified_literals(closure: Closure, entity: str) -> list[Literal]:
+    """The claims about entity that verify, shallowest derivation first
+    (ties by attribute, then polarity): only closure literals verify, and
+    only when their negation is not derivable."""
+    return sorted((literal for literal in closure.entity_index.get(entity, ())
+                   if verify_claim(literal, closure) is VerdictStatus.VERIFIED),
+                  key=lambda l: (closure.depth[l], l.attribute, l.polarity.value))

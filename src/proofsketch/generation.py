@@ -24,8 +24,9 @@ Token accounting for local backends is whitespace tokenization; the HTTP
 backend trusts the endpoint's usage.completion_tokens when it is a
 non-negative integer, and counts whitespace tokens otherwise.
 Budgets are enforced on the gateway side: request_sketch truncates
-over-length text at a token boundary and recounts, so the pipeline never
-sees a sketch above the requested maximum.
+over-length text at a token boundary and recounts, and returns that
+clamped GenerationResponse, so the pipeline never sees a sketch above the
+requested maximum.
 
 Prompt text is frozen in module constants. Bump PROMPT_VERSION when
 changing any of it so run configuration stamps stay comparable.
@@ -42,13 +43,12 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .closure import Closure, VerdictStatus, decide_from_closure, verify_claim
-from .sketch import RawSketch
+from .closure import Closure, decide_from_closure, verified_literals
 from .theory import Label, Literal, Question, Theory
 
 logger = logging.getLogger(__name__)
@@ -188,17 +188,15 @@ def build_baseline_prompt(theory: Theory, question: Question, method: Method) ->
 
 
 def request_sketch(generator: Generator, prompt: str, max_tokens: int,
-                   temperature: float) -> RawSketch:
-    """One budgeted generator call, clamped so token_count <= max_tokens."""
+                   temperature: float) -> GenerationResponse:
+    """One budgeted generator call, clamped so completion_tokens <= max_tokens."""
     response = generator.generate(
         GenerationRequest(prompt=prompt, max_tokens=max_tokens, temperature=temperature)
     )
-    text = response.text
-    tokens = response.completion_tokens
-    if tokens > max_tokens:
-        text = truncate_to_tokens(text, max_tokens)
-        tokens = min(max_tokens, count_tokens(text))
-    return RawSketch(text=text, token_count=tokens, generator_latency_ms=response.latency_ms)
+    if response.completion_tokens <= max_tokens:
+        return response
+    text = truncate_to_tokens(response.text, max_tokens)
+    return replace(response, text=text, completion_tokens=min(max_tokens, count_tokens(text)))
 
 
 class ScriptedGenerator:
@@ -258,10 +256,8 @@ class OracleGenerator:
     """Emits sketches read off the closure, degraded by seeded noise.
 
     At noise zero the sketch answers with the closure's verdict and lists
-    up to 3 verifiable closure literals about the queried entity,
-    shallowest derivations first. Literals whose negation is also
-    derivable are skipped: the verifier rejects those, and this generator
-    exists to produce certifiable sketches. The noise draws happen in a
+    the first 3 of the queried entity's verified_literals, so it is
+    certifiable whenever any sketch could be. The noise draws happen in a
     fixed order per call (malform, answer flip, then one corruption draw
     per claim), so equal seeds give byte-identical output streams.
     Each instance serves one (closure, question) pair and no caller
@@ -273,12 +269,8 @@ class OracleGenerator:
         self._noise = noise or OracleNoiseConfig()
         self._rng = random.Random(self._noise.seed)
         self._label = decide_from_closure(closure, question)
-        anchored = closure.entity_index.get(question.target.entity, frozenset())
-        ordered = sorted(
-            (l for l in anchored if verify_claim(l, closure) is VerdictStatus.VERIFIED),
-            key=lambda l: (closure.depth.get(l, 0), l.attribute, l.polarity.value),
-        )
-        self._claims: tuple[Literal, ...] = tuple(ordered[:3])
+        self._claims: tuple[Literal, ...] = tuple(
+            verified_literals(closure, question.target.entity)[:3])
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         rng = self._rng

@@ -191,8 +191,8 @@ def run_baseline(record: DatasetRecord, method: Method,
     """Evaluate one record with a single budgeted baseline completion."""
     started = time.perf_counter()
     prompt = build_baseline_prompt(record.closure.theory, record.question, method)
-    raw = request_sketch(generator, prompt, BASELINE_BUDGETS[method], temperature=0.0)
-    predicted, unparseable = extract_label(raw.text)
+    response = request_sketch(generator, prompt, BASELINE_BUDGETS[method], temperature=0.0)
+    predicted, unparseable = extract_label(response.text)
     latency_ms = (time.perf_counter() - started) * 1000.0
     return EvalRecord(
         record_id=record.record_id,
@@ -200,7 +200,7 @@ def run_baseline(record: DatasetRecord, method: Method,
         predicted=predicted,
         correct=predicted is record.gold_label,
         certified=False,
-        tokens=raw.token_count,
+        tokens=response.completion_tokens,
         latency_ms=latency_ms,
         generator_calls=1,
         unparseable=unparseable,

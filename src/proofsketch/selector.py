@@ -30,9 +30,10 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 from .closure import (Closure, VerdictStatus, decide_from_closure, entity_has_closure_facts,
-                      entity_has_verifiable_literal, verify_claim)
-from .generation import Generator, GeneratorError, build_sketch_prompt, request_sketch
-from .sketch import ParsedSketch, RawSketch, anchor_claims, parse_sketch
+                      verified_literals, verify_claim)
+from .generation import (GenerationResponse, Generator, GeneratorError, build_sketch_prompt,
+                         request_sketch)
+from .sketch import ParsedSketch, anchor_claims, parse_sketch
 from .theory import Label, Literal, Question
 
 
@@ -51,24 +52,16 @@ class AnswerSource(str, Enum):
 
 @dataclass(frozen=True)
 class ScoreTuple:
-    """Lexicographic sketch score; larger wins, compared field by field."""
+    """Lexicographic sketch score; larger wins, compared field by field.
+
+    score_sketch makes every score: cert and consistency are 0 or 1,
+    verified_count >= 0, neg_tokens <= 0, and cert implies a verified claim.
+    """
 
     cert: int
     verified_count: int
     neg_tokens: int
     consistency: int
-
-    def __post_init__(self) -> None:
-        if self.cert not in (0, 1):
-            raise ValueError("cert must be 0 or 1")
-        if self.consistency not in (0, 1):
-            raise ValueError("consistency must be 0 or 1")
-        if self.verified_count < 0:
-            raise ValueError("verified_count must be non-negative")
-        if self.neg_tokens > 0:
-            raise ValueError("neg_tokens must be non-positive")
-        if self.cert == 1 and self.verified_count == 0:
-            raise ValueError("a certified sketch must have at least one verified claim")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.cert, self.verified_count, self.neg_tokens, self.consistency)
@@ -82,22 +75,14 @@ def compare_scores(a: ScoreTuple, b: ScoreTuple) -> int:
 
 @dataclass(frozen=True)
 class ScoredSketch:
-    """One generated sketch with its verdicts and score.
+    """One generated sketch with its verdicts and score: raw is the
+    budget-clamped completion, and verdicts[i] is the verdict on
+    parsed.claims[i]."""
 
-    index is the zero-based generation order inside a pipeline run; it
-    feeds the stability tie-break and the audit trail. verdicts[i] is the
-    verdict on parsed.claims[i].
-    """
-
-    index: int
-    raw: RawSketch
+    raw: GenerationResponse
     parsed: ParsedSketch
     verdicts: tuple[VerdictStatus, ...]
     score: ScoreTuple
-
-    def __post_init__(self) -> None:
-        if len(self.verdicts) != len(self.parsed.claims):
-            raise ValueError("verdicts must align one-to-one with claims")
 
 
 @dataclass(frozen=True)
@@ -171,7 +156,7 @@ class PipelineResult:
 
     @property
     def total_generated_tokens(self) -> int:
-        return sum(sketch.raw.token_count for sketch in self.sketches)
+        return sum(sketch.raw.completion_tokens for sketch in self.sketches)
 
     @property
     def certification(self) -> Certification:
@@ -192,7 +177,7 @@ class PipelineResult:
             "latency_ms": round(self.latency_ms, 3),
             "sketches": [
                 {
-                    "index": sketch.index,
+                    "index": index,
                     "answer": sketch.parsed.answer.value,
                     "parse_status": sketch.parsed.parse_status.value,
                     "claims": [claim.to_text() for claim in sketch.parsed.claims],
@@ -201,16 +186,16 @@ class PipelineResult:
                         for claim, status in zip(sketch.parsed.claims, sketch.verdicts)
                     ],
                     "dropped_claims": sketch.parsed.dropped_claims,
-                    "tokens": sketch.raw.token_count,
+                    "tokens": sketch.raw.completion_tokens,
                     "score": asdict(sketch.score),
                 }
-                for sketch in self.sketches
+                for index, sketch in enumerate(self.sketches)
             ],
         }
 
 
-def score_sketch(parsed: ParsedSketch, raw: RawSketch, closure: Closure,
-                 decision: Label, *, index: int = 0) -> ScoredSketch:
+def score_sketch(parsed: ParsedSketch, raw: GenerationResponse, closure: Closure,
+                 decision: Label) -> ScoredSketch:
     """Verify a sketch's claims and attach its selection score; decision is
     decide_from_closure's label for the question, Unknown if undecided."""
     verdicts = tuple(verify_claim(claim, closure) for claim in parsed.claims)
@@ -222,10 +207,10 @@ def score_sketch(parsed: ParsedSketch, raw: RawSketch, closure: Closure,
     score = ScoreTuple(
         cert=cert,
         verified_count=verified,
-        neg_tokens=-raw.token_count,
+        neg_tokens=-raw.completion_tokens,
         consistency=consistency,
     )
-    return ScoredSketch(index=index, raw=raw, parsed=parsed, verdicts=verdicts, score=score)
+    return ScoredSketch(raw=raw, parsed=parsed, verdicts=verdicts, score=score)
 
 
 def _closure_result(label: Label, started: float) -> PipelineResult:
@@ -259,22 +244,22 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
     scored: list[ScoredSketch] = []
     # Only claims about the queried entity are kept, so without a
     # verifiable literal about it no sketch can certify: sample once.
-    certifiable = entity_has_verifiable_literal(closure, question.target.entity)
+    certifiable = bool(verified_literals(closure, question.target.entity))
 
     for call_index in range(config.max_sketches if certifiable else 1):
         try:
             raw = request_sketch(generator, prompt, budget, config.temperature)
         except GeneratorError as exc:
             exc.calls_made = call_index + 1
-            exc.tokens_generated = sum(sketch.raw.token_count for sketch in scored)
+            exc.tokens_generated = sum(sketch.raw.completion_tokens for sketch in scored)
             raise
-        parsed = parse_sketch(raw, closure.theory)
+        parsed = parse_sketch(raw.text, closure.theory)
         anchored = anchor_claims(parsed.claims, question)
         if len(anchored) != len(parsed.claims):
             removed = len(parsed.claims) - len(anchored)
             parsed = replace(parsed, claims=anchored,
                              dropped_claims=parsed.dropped_claims + removed)
-        sketch = score_sketch(parsed, raw, closure, decision, index=call_index)
+        sketch = score_sketch(parsed, raw, closure, decision)
         scored.append(sketch)
         if sketch.score.cert == 1:
             return PipelineResult(

@@ -19,7 +19,8 @@ a label word anywhere in the raw text (Unknown when none appears).
 A sketch whose claims all fail to canonicalize is likewise Failed, since
 an unverifiable sketch has no standing.
 
-parse_sketch never raises, whatever bytes the generator produced.
+parse_sketch takes the completion text and never raises, whatever bytes
+the generator produced.
 """
 
 from __future__ import annotations
@@ -58,32 +59,15 @@ class ParseStatus(str, Enum):
 
 
 @dataclass(frozen=True)
-class RawSketch:
-    """Generator output as handed to the pipeline, budget already applied."""
-
-    text: str
-    token_count: int
-    generator_latency_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.token_count < 0:
-            raise ValueError("token_count must be non-negative")
-
-
-@dataclass(frozen=True)
 class ParsedSketch:
-    """Decoded sketch: an answer plus canonical, deduplicated claims."""
+    """Decoded sketch: an answer plus canonical, deduplicated claims, none
+    when Failed. parse_sketch makes it and guarantees both; anchoring in
+    run_pipeline only removes claims."""
 
     answer: Label
     claims: tuple[Literal, ...]
     parse_status: ParseStatus
     dropped_claims: int = 0
-
-    def __post_init__(self) -> None:
-        if self.parse_status is ParseStatus.FAILED and self.claims:
-            raise ValueError("a Failed sketch cannot carry claims")
-        if len(set(self.claims)) != len(self.claims):
-            raise ValueError("claims must be deduplicated")
 
 
 def _balanced_object_span(text: str) -> str | None:
@@ -187,27 +171,27 @@ def canonicalize_claim(claim_text: str, theory: Theory) -> Literal | None:
     return literal
 
 
-def parse_sketch(raw: RawSketch, theory: Theory) -> ParsedSketch:
+def parse_sketch(text: str, theory: Theory) -> ParsedSketch:
     """Decode raw generator text into a ParsedSketch. Total: never raises."""
-    decoded = _strict_decode(raw.text)
+    decoded = _strict_decode(text)
     status = ParseStatus.CLEAN
     if decoded is None:
-        decoded = _repaired_decode(raw.text)
+        decoded = _repaired_decode(text)
         status = ParseStatus.REPAIRED
     if decoded is None:
-        return ParsedSketch(last_label_word(raw.text) or Label.UNKNOWN, (), ParseStatus.FAILED)
+        return ParsedSketch(last_label_word(text) or Label.UNKNOWN, (), ParseStatus.FAILED)
 
     answer, claim_texts = decoded
     claims: list[Literal] = []
     dropped = 0
-    for text in claim_texts:
-        literal = canonicalize_claim(text, theory)
+    for claim_text in claim_texts:
+        literal = canonicalize_claim(claim_text, theory)
         if literal is None:
             dropped += 1
         elif literal not in claims:
             claims.append(literal)
     if not claims:
-        return ParsedSketch(last_label_word(raw.text) or Label.UNKNOWN, (), ParseStatus.FAILED,
+        return ParsedSketch(last_label_word(text) or Label.UNKNOWN, (), ParseStatus.FAILED,
                             dropped_claims=dropped)
     return ParsedSketch(answer, tuple(claims), status, dropped_claims=dropped)
 

@@ -32,6 +32,8 @@ The structured format is a JSON object:
 
 All symbols pass through one canonicalizer, so "Anne", " anne " and
 "Anne." name the same entity, and "the bald eagle" becomes "bald-eagle".
+The parsers are the only place text becomes a symbol, so Literal and Rule
+take their names as given.
 
 A Theory holds its asserted facts of both polarities in one literal set;
 a fact asserted together with its negation is rejected at construction.
@@ -48,7 +50,6 @@ _ARTICLES = ("the", "a", "an")
 _WS_RE = re.compile(r"\s+")
 _DISALLOWED_RE = re.compile(r"[^a-z0-9 \-]")
 _HYPHEN_RUN_RE = re.compile(r"-{2,}")
-_CANONICAL_RE = re.compile(r"^[a-z0-9](?:[a-z0-9\-]*[a-z0-9])?$")
 
 _FACT_RE = re.compile(r"^(?P<subj>.+?)\s+is\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE)
 _IF_RE = re.compile(r"^if\s+(?P<body>.+?)\s+then\s+(?P<head>.+)$", re.IGNORECASE)
@@ -139,11 +140,6 @@ class Label(str, Enum):
         return None
 
 
-def _require_canonical(value: str, role: str) -> None:
-    if not _CANONICAL_RE.match(value):
-        raise ValueError(f"{role} {value!r} is not in canonical form")
-
-
 @dataclass(frozen=True)
 class Literal:
     """One polarized attribute assertion about one entity."""
@@ -151,10 +147,6 @@ class Literal:
     entity: str
     attribute: str
     polarity: Polarity
-
-    def __post_init__(self) -> None:
-        _require_canonical(self.entity, "entity")
-        _require_canonical(self.attribute, "attribute")
 
     def negated(self) -> "Literal":
         return Literal(self.entity, self.attribute, self.polarity.negated())
@@ -186,17 +178,13 @@ class Rule:
     head: tuple[str, Polarity]
 
     def __post_init__(self) -> None:
-        if self.subject is not None:
-            _require_canonical(self.subject, "rule subject")
         if not self.body:
             raise ValueError("rule body must have at least one condition")
         seen: set[tuple[str, Polarity]] = set()
         for attribute, polarity in self.body:
-            _require_canonical(attribute, "body attribute")
             if (attribute, polarity) in seen:
                 raise ValueError(f"duplicate body condition {attribute!r}")
             seen.add((attribute, polarity))
-        _require_canonical(self.head[0], "head attribute")
         if self.head in seen:
             raise ValueError(f"rule head {self.head[0]!r} repeats a body condition")
 

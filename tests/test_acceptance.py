@@ -12,7 +12,7 @@ import time
 
 from proofsketch.theory import Label, Literal, Polarity, Theory, parse_question, parse_theory_nl
 from proofsketch.closure import decide_from_closure, entity_has_closure_facts, forward_chain
-from proofsketch.sketch import ParseStatus, RawSketch, parse_sketch
+from proofsketch.sketch import ParseStatus, parse_sketch
 from proofsketch.generation import (Method, OracleGenerator, OracleNoiseConfig, ScriptedGenerator,
                                     count_tokens, request_sketch)
 from proofsketch.selector import (AnswerSource, Certification, PipelineConfig, ScoreTuple,
@@ -351,8 +351,7 @@ def test_criterion_08_repair_robustness() -> None:
     if len(_RECOVERABLE) != 15 or len(_HOPELESS) != 10:
         problems.append("corpus must hold exactly 15 recoverable and 10 hopeless items")
     for index, (text, expected) in enumerate(_RECOVERABLE):
-        parsed = parse_sketch(RawSketch(text=text, token_count=count_tokens(text)),
-                              _REPAIR_THEORY)
+        parsed = parse_sketch(text, _REPAIR_THEORY)
         if parsed.parse_status is not ParseStatus.REPAIRED:
             problems.append(f"recoverable {index}: status {parsed.parse_status.value}")
         if parsed.answer is not expected:
@@ -360,8 +359,7 @@ def test_criterion_08_repair_robustness() -> None:
         if not parsed.claims:
             problems.append(f"recoverable {index}: no claims survived")
     for index, (text, expected) in enumerate(_HOPELESS):
-        parsed = parse_sketch(RawSketch(text=text, token_count=count_tokens(text)),
-                              _REPAIR_THEORY)
+        parsed = parse_sketch(text, _REPAIR_THEORY)
         if parsed.parse_status is not ParseStatus.FAILED:
             problems.append(f"hopeless {index}: status {parsed.parse_status.value}")
         if parsed.answer is not expected:
@@ -379,8 +377,8 @@ def test_criterion_09_budget_enforcement() -> None:
         for index in range(100):
             max_tokens = rng.randint(1, 40)
             raw = make_call(max_tokens)
-            if raw.token_count > max_tokens:
-                problems.append(f"{name} call {index}: {raw.token_count} > {max_tokens}")
+            if raw.completion_tokens > max_tokens:
+                problems.append(f"{name} call {index}: {raw.completion_tokens} > {max_tokens}")
                 return
 
     scripted = ScriptedGenerator(
@@ -413,7 +411,7 @@ def test_criterion_09_budget_enforcement() -> None:
                     lambda cap: request_sketch(client, "p", cap, temperature=0.0))
     finally:
         endpoint.close()
-    _criterion(9, "token_count <= requested budget over 100 randomized calls per backend", problems)
+    _criterion(9, "completion_tokens <= requested budget over 100 randomized calls per backend", problems)
 
 
 def test_criterion_10_lexicographic_order() -> None:

@@ -23,7 +23,7 @@ import pytest
 
 from proofsketch.theory import Label, parse_question, parse_theory_nl
 from proofsketch.closure import decide_from_closure, forward_chain
-from proofsketch.sketch import RawSketch, parse_sketch
+from proofsketch.sketch import parse_sketch
 from proofsketch.generation import GenerationRequest, OracleGenerator
 from proofsketch.selector import PipelineConfig, run_pipeline, score_sketch
 
@@ -80,9 +80,9 @@ def test_generate_inspector_reads_oracle_results() -> None:
 
 
 def test_sketch_inspector_reads_parsed_sketches() -> None:
-    raw = RawSketch('{"answer": "Unknown", "claims": ["bob is round", "zed is odd"]}', 8)
-    parsed = parse_sketch(raw, CLOSURE.theory)
-    info = TRACING._sketch_info((raw, CLOSURE.theory), parsed)
+    text = '{"answer": "Unknown", "claims": ["bob is round", "zed is odd"]}'
+    parsed = parse_sketch(text, CLOSURE.theory)
+    info = TRACING._sketch_info((text, CLOSURE.theory), parsed)
     assert info == {"status": parsed.parse_status.value, "dropped": parsed.dropped_claims}
     assert info["dropped"] == 1
 

@@ -158,6 +158,7 @@ class TestAnswerCommand:
         payload = json.loads(capsys.readouterr().out)
         # Every sketch is malformed, so the loop runs to its cap of 2.
         assert payload["generator_calls"] == 2
+        assert [sketch["index"] for sketch in payload["sketches"]] == [0, 1]
         assert payload["certification"] == "Uncertified"
 
     def test_unknown_config_key_rejected(self, theory_file, tmp_path, capsys) -> None:
@@ -574,16 +575,35 @@ class TestSharedParser:
         assert threaded == serial
 
 
+def _subprocess_env() -> dict[str, str]:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_runtime_imports_only_stdlib() -> None:
     # Diffed against a snapshot: site hooks may preload third-party modules
     # before any package import.
     code = ("import sys; before = set(sys.modules); import proofsketch.cli; "
             "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     completed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                               check=True, timeout=60, env=env)
+                               check=True, timeout=60, env=_subprocess_env())
     new = set(completed.stdout.split())
     assert "proofsketch" in new
     assert new - {"proofsketch"} <= sys.stdlib_module_names
+
+
+def test_closed_stdout_exits_quietly(theory_file) -> None:
+    # The reader of stdout is gone before the command writes, as in `| head`.
+    process = subprocess.Popen(
+        [sys.executable, "-m", "proofsketch.cli", "answer", str(theory_file),
+         "--question", "Is Bob kind?"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env())
+    process.stdout.close()
+    try:
+        stderr = process.stderr.read()
+        assert process.wait(timeout=60) == 1
+    finally:
+        process.kill()
+        process.stderr.close()
+    assert stderr == b""

@@ -9,7 +9,7 @@ import pytest
 
 from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
 from proofsketch.closure import (VerdictStatus, decide_from_closure, entity_has_closure_facts,
-                                 entity_has_verifiable_literal, forward_chain, verify_claim)
+                                 forward_chain, verified_literals, verify_claim)
 
 from helpers import brute_force_closure, random_question, random_theory, tiny_theory
 
@@ -287,15 +287,19 @@ class TestEntityHasClosureFacts:
 
 class TestEntityHasVerifiableLiteral:
     def test_matches_brute_force_on_random_theories(self) -> None:
+        # verified_literals lists what an entity has to verify, shallowest first.
         rng = random.Random(29)
         for _ in range(200):
             theory = random_theory(rng)
             closure = forward_chain(theory)
             reference = brute_force_closure(theory)
             for entity in sorted(theory.entities()) + ["zed"]:
-                expected = any(
-                    verify_claim(Literal(entity, attribute, polarity), reference)
+                expected = {
+                    literal for attribute in theory.attributes() for polarity in Polarity
+                    if verify_claim(literal := Literal(entity, attribute, polarity), reference)
                     is VerdictStatus.VERIFIED
-                    for attribute in theory.attributes() for polarity in Polarity
-                )
-                assert entity_has_verifiable_literal(closure, entity) is expected
+                }
+                found = verified_literals(closure, entity)
+                assert len(found) == len(expected) and set(found) == expected
+                depths = [closure.depth[literal] for literal in found]
+                assert depths == sorted(depths)

@@ -18,7 +18,7 @@ import pytest
 
 from proofsketch.theory import Label, parse_question, parse_theory_nl
 from proofsketch.closure import forward_chain
-from proofsketch.sketch import ParseStatus, RawSketch, parse_sketch
+from proofsketch.sketch import ParseStatus, parse_sketch
 from proofsketch.generation import (BASELINE_BUDGETS, EndpointError, GenerationRequest,
                                     GenerationTimeout, Generator, GeneratorError, HttpGenerator,
                                     Method, OracleGenerator, OracleNoiseConfig, PROMPT_VERSION,
@@ -134,12 +134,12 @@ class TestRequestSketch:
         generator = ScriptedGenerator(["short reply"])
         raw = request_sketch(generator, "p", max_tokens=50, temperature=0.0)
         assert raw.text == "short reply"
-        assert raw.token_count == 2
+        assert raw.completion_tokens == 2
 
     def test_over_budget_truncates_and_recounts(self) -> None:
         generator = ScriptedGenerator(["w " * 100])
         raw = request_sketch(generator, "p", max_tokens=10, temperature=0.0)
-        assert raw.token_count == 10
+        assert raw.completion_tokens == 10
         assert count_tokens(raw.text) == 10
 
     def test_misreported_count_still_clamped(self) -> None:
@@ -153,7 +153,7 @@ class TestRequestSketch:
                 return GenerationResponse(text="tiny reply", completion_tokens=9999)
 
         raw = request_sketch(Bragger(), "p", max_tokens=10, temperature=0.0)
-        assert raw.token_count == 2
+        assert raw.completion_tokens == 2
         assert raw.text == "tiny reply"
 
 
@@ -228,9 +228,7 @@ class TestOracleGenerator:
     def test_noise_zero_matches_closure(self) -> None:
         question = parse_question("Is Anne kind?")
         generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(seed=5))
-        parsed = parse_sketch(
-            RawSketch(text=self._generate(generator), token_count=0), THEORY
-        )
+        parsed = parse_sketch(self._generate(generator), THEORY)
         assert parsed.parse_status is ParseStatus.CLEAN
         assert parsed.answer is Label.TRUE
         closure = forward_chain(THEORY)
@@ -282,7 +280,7 @@ class TestOracleGenerator:
         noise = OracleNoiseConfig(malform_prob=1.0, seed=3)
         generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
         text = self._generate(generator)
-        parsed = parse_sketch(RawSketch(text=text, token_count=0), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
 
     def test_corrupt_negates_claims(self) -> None:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
 from proofsketch.closure import VerdictStatus, decide_from_closure, forward_chain, verify_claim
-from proofsketch.sketch import ParseStatus, ParsedSketch, RawSketch
+from proofsketch.sketch import ParseStatus, ParsedSketch
 from proofsketch.generation import (GenerationRequest, GenerationResponse, GeneratorError,
                                     ScriptedGenerator, count_tokens)
 from proofsketch.selector import (AnswerSource, Certification, PipelineConfig, PipelineResult,
@@ -19,6 +20,11 @@ THEORY = parse_theory_nl(
 )
 # Closure: anne is big (0), bob is round (0), anne is kind (1).
 CLOSURE = forward_chain(THEORY)
+# Derives both polarities of anne's kind, so its claims can read Contradicted.
+CONTRADICTORY = forward_chain(parse_theory_nl(
+    "Anne is big. Bob is round. If someone is big then they are kind. "
+    "If anne is big then anne is not kind."
+))
 
 DECIDED_Q = parse_question("Is Anne kind?")
 OPEN_Q = parse_question("Is Bob kind?")
@@ -37,8 +43,8 @@ def _sketch(answer: Label, *claims: Literal,
     return ParsedSketch(answer, claims, status)
 
 
-def _raw(tokens: int) -> RawSketch:
-    return RawSketch(text="x " * tokens, token_count=tokens)
+def _raw(tokens: int) -> GenerationResponse:
+    return GenerationResponse(text="x " * tokens, completion_tokens=tokens)
 
 
 class TestVerifyClaim:
@@ -70,19 +76,26 @@ class TestScoreTuple:
     def test_as_tuple_field_order(self) -> None:
         assert ScoreTuple(1, 2, -50, 1).as_tuple() == (1, 2, -50, 1)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"cert": 2, "verified_count": 1, "neg_tokens": 0, "consistency": 0},
-            {"cert": 0, "verified_count": -1, "neg_tokens": 0, "consistency": 0},
-            {"cert": 0, "verified_count": 0, "neg_tokens": 1, "consistency": 0},
-            {"cert": 0, "verified_count": 0, "neg_tokens": 0, "consistency": 5},
-            {"cert": 1, "verified_count": 0, "neg_tokens": 0, "consistency": 0},
-        ],
+    @given(
+        closure=st.sampled_from([CLOSURE, CONTRADICTORY]),
+        answer=st.sampled_from(list(Label)),
+        decision=st.sampled_from(list(Label)),
+        claims=st.lists(st.builds(Literal, st.sampled_from(["anne", "bob"]),
+                                  st.sampled_from(["big", "round", "kind"]),
+                                  st.sampled_from(list(Polarity))),
+                        max_size=4, unique=True),
+        tokens=st.integers(min_value=0, max_value=500),
     )
-    def test_invalid_rejected(self, kwargs) -> None:
-        with pytest.raises(ValueError):
-            ScoreTuple(**kwargs)
+    @settings(max_examples=300, deadline=None)
+    def test_score_sketch_scores_are_well_formed(self, closure, answer, decision, claims,
+                                                 tokens) -> None:
+        status = ParseStatus.CLEAN if claims else ParseStatus.FAILED
+        score = score_sketch(ParsedSketch(answer, tuple(claims), status), _raw(tokens),
+                             closure, decision).score
+        assert score.cert in (0, 1) and score.consistency in (0, 1)
+        assert 0 <= score.verified_count <= len(claims)
+        assert score.neg_tokens == -tokens <= 0
+        assert score.cert == 0 or score.verified_count > 0
 
 
 class TestCompareScores:
@@ -156,10 +169,6 @@ class TestScoreSketch:
         parsed = ParsedSketch(Label.TRUE, (), ParseStatus.CLEAN)
         scored = score_sketch(parsed, _raw(5), CLOSURE, OPEN)
         assert scored.score.cert == 0
-
-    def test_index_passthrough(self) -> None:
-        parsed = _sketch(Label.UNKNOWN, Literal("bob", "round", Polarity.POSITIVE))
-        assert score_sketch(parsed, _raw(5), CLOSURE, OPEN, index=3).index == 3
 
 
 class TestPipelineConfig:
@@ -296,7 +305,7 @@ class TestRunPipeline:
         config = PipelineConfig(fixed_budget=10)
         result = run_pipeline(CLOSURE, OPEN_Q, config, generator)
         for sketch in result.sketches:
-            assert sketch.raw.token_count <= 10
+            assert sketch.raw.completion_tokens <= 10
 
     def test_max_sketches_respected(self) -> None:
         generator = ScriptedGenerator([FAILED_SKETCH] * 2)

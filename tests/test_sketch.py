@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
-from proofsketch.sketch import (ParseStatus, ParsedSketch, RawSketch, anchor_claims,
-                                canonicalize_claim, parse_sketch)
+from proofsketch.sketch import (ParseStatus, ParsedSketch, anchor_claims, canonicalize_claim,
+                                parse_sketch)
 
 THEORY = parse_theory_nl(
     "Anne is big. Bob is not green. Carol is quiet. "
@@ -22,38 +22,34 @@ ANNE_KIND = Literal("anne", "kind", Polarity.POSITIVE)
 BOB_GREEN_NEG = Literal("bob", "green", Polarity.NEGATIVE)
 
 
-def _raw(text: str) -> RawSketch:
-    return RawSketch(text=text, token_count=len(text.split()))
-
-
 class TestStrictParse:
     def test_clean_sketch(self) -> None:
-        parsed = parse_sketch(_raw('{"answer": "True", "claims": ["anne is big"]}'), THEORY)
+        parsed = parse_sketch('{"answer": "True", "claims": ["anne is big"]}', THEORY)
         assert parsed.parse_status is ParseStatus.CLEAN
         assert parsed.answer is Label.TRUE
         assert parsed.claims == (ANNE_BIG,)
         assert parsed.dropped_claims == 0
 
     def test_clean_requires_exact_label(self) -> None:
-        parsed = parse_sketch(_raw('{"answer": "true", "claims": ["anne is big"]}'), THEORY)
+        parsed = parse_sketch('{"answer": "true", "claims": ["anne is big"]}', THEORY)
         assert parsed.parse_status is ParseStatus.REPAIRED
         assert parsed.answer is Label.TRUE
 
     def test_clean_all_three_labels(self) -> None:
         for label in Label:
             text = json.dumps({"answer": label.value, "claims": ["anne is big"]})
-            parsed = parse_sketch(_raw(text), THEORY)
+            parsed = parse_sketch(text, THEORY)
             assert parsed.parse_status is ParseStatus.CLEAN
             assert parsed.answer is label
 
     def test_claim_order_preserved(self) -> None:
         text = '{"answer": "Unknown", "claims": ["bob is not green", "anne is big"]}'
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.claims == (BOB_GREEN_NEG, ANNE_BIG)
 
     def test_duplicate_claims_collapse_silently(self) -> None:
         text = '{"answer": "True", "claims": ["anne is big", "anne is big"]}'
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.claims == (ANNE_BIG,)
         assert parsed.dropped_claims == 0
         assert parsed.parse_status is ParseStatus.CLEAN
@@ -62,7 +58,7 @@ class TestStrictParse:
 class TestRepairPass:
     def test_code_fences(self) -> None:
         text = '```json\n{"answer": "True", "claims": ["anne is big"]}\n```'
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.REPAIRED
         assert parsed.answer is Label.TRUE
         assert parsed.claims == (ANNE_BIG,)
@@ -72,20 +68,20 @@ class TestRepairPass:
             'Sure, here is my structured reply: '
             '{"answer": "False", "claims": ["bob is not green"]} Hope that helps!'
         )
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.REPAIRED
         assert parsed.answer is Label.FALSE
         assert parsed.claims == (BOB_GREEN_NEG,)
 
     def test_trailing_commas(self) -> None:
         text = '{"answer": "True", "claims": ["anne is big",],}'
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.REPAIRED
         assert parsed.claims == (ANNE_BIG,)
 
     def test_smart_quotes(self) -> None:
         text = '{“answer”: “True”, “claims”: [“anne is big”]}'
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.REPAIRED
         assert parsed.answer is Label.TRUE
         assert parsed.claims == (ANNE_BIG,)
@@ -105,13 +101,13 @@ class TestRepairPass:
     )
     def test_answer_synonyms(self, alias: str, label: Label) -> None:
         text = json.dumps({"answer": alias, "claims": ["anne is big"]})
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.REPAIRED
         assert parsed.answer is label
 
     def test_brace_inside_string_does_not_confuse_span(self) -> None:
         text = 'noise {"answer": "True", "claims": ["anne is big"], "note": "a } b"} tail'
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.REPAIRED
         assert parsed.claims == (ANNE_BIG,)
 
@@ -119,61 +115,61 @@ class TestRepairPass:
         # The first balanced span is {"a": 1}; it lacks a usable answer,
         # so decoding fails and the keyword scan takes over.
         text = '{"a": 1} {"answer": "True", "claims": ["anne is big"]}'
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
         assert parsed.answer is Label.TRUE
 
 
 class TestFailedParse:
     def test_no_json_at_all(self) -> None:
-        parsed = parse_sketch(_raw("I believe the answer is False."), THEORY)
+        parsed = parse_sketch("I believe the answer is False.", THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
         assert parsed.answer is Label.FALSE
         assert parsed.claims == ()
 
     def test_keyword_scan_takes_last_occurrence(self) -> None:
-        parsed = parse_sketch(_raw("True at first glance, but ultimately False."), THEORY)
+        parsed = parse_sketch("True at first glance, but ultimately False.", THEORY)
         assert parsed.answer is Label.FALSE
 
     def test_no_keyword_defaults_unknown(self) -> None:
-        parsed = parse_sketch(_raw("no structured content here"), THEORY)
+        parsed = parse_sketch("no structured content here", THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
         assert parsed.answer is Label.UNKNOWN
 
     def test_unbalanced_json(self) -> None:
-        parsed = parse_sketch(_raw('{"answer": "True", "claims": ["anne is big"'), THEORY)
+        parsed = parse_sketch('{"answer": "True", "claims": ["anne is big"', THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
         assert parsed.answer is Label.TRUE
 
     def test_non_dict_json(self) -> None:
-        parsed = parse_sketch(_raw('["True", "False"]'), THEORY)
+        parsed = parse_sketch('["True", "False"]', THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
 
     def test_claims_not_a_list(self) -> None:
-        parsed = parse_sketch(_raw('{"answer": "True", "claims": "anne is big"}'), THEORY)
+        parsed = parse_sketch('{"answer": "True", "claims": "anne is big"}', THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
 
     def test_non_string_claims(self) -> None:
-        parsed = parse_sketch(_raw('{"answer": "True", "claims": [1, 2]}'), THEORY)
+        parsed = parse_sketch('{"answer": "True", "claims": [1, 2]}', THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
 
     def test_empty_claim_list_is_failed(self) -> None:
         # A sketch with nothing checkable has no standing, whatever its
         # answer field says; the answer still comes from the text scan.
-        parsed = parse_sketch(_raw('{"answer": "False", "claims": []}'), THEORY)
+        parsed = parse_sketch('{"answer": "False", "claims": []}', THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
         assert parsed.answer is Label.FALSE
         assert parsed.claims == ()
 
     def test_all_claims_uncanonicalizable(self) -> None:
         text = '{"answer": "True", "claims": ["zed is big", "anne frowns"]}'
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
         assert parsed.dropped_claims == 2
 
     def test_partial_drop_keeps_status(self) -> None:
         text = '{"answer": "True", "claims": ["anne is big", "zed is big"]}'
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.CLEAN
         assert parsed.claims == (ANNE_BIG,)
         assert parsed.dropped_claims == 1
@@ -211,11 +207,45 @@ class TestCanonicalizeClaim:
         assert canonicalize_claim(text, THEORY) is None
 
 
+# Claim sentences over the theory's words and a few outside it, with the
+# casing, contractions and punctuation the canonicalizer must fold.
+_CLAIM_TEXT = st.builds(
+    "{} {} {}".format,
+    st.sampled_from(["anne", "Anne", "bob", "the carol", "zed", "it"]),
+    st.sampled_from(["is", "is not", "isn't", "likes"]),
+    st.sampled_from(["big", "Big.", "green", "quiet", "kind", "sleepy", "big and kind"]),
+)
+
+# Sketch-like replies, clean or in need of repair, or any text at all.
+_SKETCH_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.builds(
+        lambda prefix, answer, claims, suffix: prefix + json.dumps(
+            {"answer": answer, "claims": claims}) + suffix,
+        st.sampled_from(["", "```json\n", "Sure: "]),
+        st.sampled_from(["True", "false", "yes", "Unknown", "maybe"]),
+        st.lists(_CLAIM_TEXT, max_size=6),
+        st.sampled_from(["", "\n```", " Hope that helps! False"]),
+    ),
+)
+
+
 class TestTotality:
+    @given(_SKETCH_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_claims_deduplicated_and_in_vocabulary(self, text: str) -> None:
+        parsed = parse_sketch(text, THEORY)
+        assert len(set(parsed.claims)) == len(parsed.claims)
+        if parsed.parse_status is ParseStatus.FAILED:
+            assert parsed.claims == ()
+        for claim in parsed.claims:
+            assert claim.entity in THEORY.entities()
+            assert claim.attribute in THEORY.attributes()
+
     @given(st.text(max_size=300))
     @settings(max_examples=300, deadline=None)
     def test_parse_sketch_never_raises(self, text: str) -> None:
-        parsed = parse_sketch(RawSketch(text=text, token_count=len(text.split())), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert isinstance(parsed, ParsedSketch)
         assert parsed.answer in set(Label)
         assert parsed.parse_status in set(ParseStatus)
@@ -234,25 +264,11 @@ class TestTotality:
     @settings(max_examples=200, deadline=None)
     def test_well_formed_sketches_round_trip(self, answer: str, claims: list[str]) -> None:
         text = json.dumps({"answer": answer, "claims": claims})
-        parsed = parse_sketch(_raw(text), THEORY)
+        parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.CLEAN
         assert parsed.answer.value == answer
         assert [claim.to_text() for claim in parsed.claims] == claims
         assert parsed.dropped_claims == 0
-
-
-class TestParsedSketchInvariants:
-    def test_failed_with_claims_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            ParsedSketch(Label.TRUE, (ANNE_BIG,), ParseStatus.FAILED)
-
-    def test_duplicate_claims_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            ParsedSketch(Label.TRUE, (ANNE_BIG, ANNE_BIG), ParseStatus.CLEAN)
-
-    def test_negative_token_count_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            RawSketch(text="x", token_count=-1)
 
 
 class TestAnchorClaims:
