@@ -19,7 +19,7 @@ from .generation import (PROMPT_VERSION, BASELINE_BUDGETS, EndpointError, Genera
 from .harness import (EmptyDatasetError, MetricsReport, ablation_csv, compute_metrics,
                       emit_report, evaluate, load_dataset, run_ablation, write_run)
 from .selector import PipelineConfig, run_pipeline
-from .theory import (InconsistentFactsError, ParseError, Question, SchemaError, literal_sort_key,
+from .theory import (InconsistentFactsError, ParseError, Polarity, Question, SchemaError,
                      parse_question, parse_theory_nl, parse_theory_structured)
 
 _METHOD_CHOICES = {
@@ -59,8 +59,8 @@ class UsageError(Exception):
 
 
 # Bad input from the user: one stderr line and exit status 2.
-_USER_ERRORS = (UsageError, OSError, json.JSONDecodeError, ParseError, SchemaError,
-                InconsistentFactsError, EmptyDatasetError, GeneratorError)
+_USER_ERRORS = (UsageError, OSError, ParseError, SchemaError, InconsistentFactsError,
+                EmptyDatasetError, GeneratorError)
 
 
 def _read_text(path: str | Path) -> str:
@@ -70,18 +70,27 @@ def _read_text(path: str | Path) -> str:
         raise UsageError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
 
 
-def _load_theory_file(path: str):
+def _read_json(path: str | Path):
     text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path}: invalid JSON: nested too deeply") from exc
+
+
+def _load_theory_file(path: str):
     if path.endswith(".json"):
-        return parse_theory_structured(json.loads(text))
-    return parse_theory_nl(text)
+        return parse_theory_structured(_read_json(path))
+    return parse_theory_nl(_read_text(path))
 
 
 def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
     """The --config document, type-checked, and the PipelineConfig it sets."""
     if not path:
         return {}, PipelineConfig()
-    doc = json.loads(_read_text(path))
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_TYPES))
@@ -112,7 +121,7 @@ def _generator_for(args: argparse.Namespace,
     if args.backend == "scripted":
         if not args.script:
             raise UsageError("--backend scripted requires --script <file>")
-        script = json.loads(_read_text(args.script))
+        script = _read_json(args.script)
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise UsageError("script file must hold a JSON array of strings")
         shared = ScriptedGenerator(script, strict=False)
@@ -162,14 +171,16 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
 def _cmd_closure(args: argparse.Namespace) -> int:
     theory = _load_theory_file(args.theory_file)
     closure = forward_chain(theory)
+    # Polarity is a str enum, so "negative" sorts before "positive".
     literals = [
         {
-            "entity": literal.entity,
-            "attribute": literal.attribute,
-            "negated": not literal.positive,
-            "depth": closure.depth[literal],
+            "entity": entity,
+            "attribute": attribute,
+            "negated": polarity is Polarity.NEGATIVE,
+            "depth": depth,
         }
-        for literal in sorted(closure.literals, key=literal_sort_key)
+        for entity, pairs in sorted(closure.table.items())
+        for (attribute, polarity), depth in sorted(pairs.items())
     ]
     print(json.dumps({"literals": literals, "contradictory": closure.contradictory}, indent=2))
     return 0
@@ -251,8 +262,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    metrics_path = Path(args.run_dir) / "metrics.json"
-    doc = json.loads(_read_text(metrics_path))
+    doc = _read_json(Path(args.run_dir) / "metrics.json")
     report = MetricsReport.from_json_dict(doc)
     print(emit_report(report, args.format), end="")
     return 0

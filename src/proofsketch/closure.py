@@ -7,15 +7,21 @@ universal subject are instantiated over every entity the theory mentions
 with explicit negation, the closure is finite: at most one literal per
 (entity, attribute, polarity) triple.
 
+A Closure holds it as one table: entity -> (attribute, polarity) ->
+depth, the length of that literal's shortest derivation (0 for a fact).
+An entity is a key only when some literal about it is derivable. The
+(attribute, polarity) pair is the shape of a rule's body conditions and
+head, so the fixpoint and every lookup run on the table directly.
+
 Deriving both polarities of the same pair does not abort the fixpoint.
 The closure is computed in full and marked contradictory, so callers can
 keep inspecting it while refusing to treat the theory as trustworthy.
 
-forward_chain computes it: delta-driven rounds touch only rules whose
-bodies mention a literal added in the previous round, and record for
-every literal the length of its shortest derivation. The independent
-reference it is tested against, a fixpoint that re-applies every rule to
-every entity until nothing changes, lives in tests/helpers.py.
+forward_chain computes it in rounds: round n tries only the rule
+instances whose body holds a pair added in round n - 1, so every pair it
+adds has depth n. The independent reference it is tested against, a
+fixpoint that re-applies every rule to every entity until nothing
+changes, lives in tests/helpers.py.
 
 What the closure says about a literal is answered here only: verify_claim
 gives its verdict (Verified, Contradicted, Unsupported),
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .theory import Label, Literal, Polarity, Question, Theory
+from .theory import Label, Literal, Polarity, Question, Rule, Theory
 
 
 class VerdictStatus(str, Enum):
@@ -41,82 +47,69 @@ class VerdictStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Closure:
-    """Fixpoint literal set with derivation depths and a per-entity index.
+    """Derivable literals as entity -> (attribute, polarity) -> depth.
 
     theory is the theory the closure was computed from, so a closure is
     everything a question about that theory needs.
     """
 
-    literals: frozenset[Literal]
-    depth: Mapping[Literal, int]
+    table: Mapping[str, Mapping[tuple[str, Polarity], int]]
     contradictory: bool
-    entity_index: Mapping[str, frozenset[Literal]]
     theory: Theory = field(compare=False)
 
 
-def _index_by_entity(literals: frozenset[Literal]) -> dict[str, frozenset[Literal]]:
-    grouped: dict[str, set[Literal]] = {}
-    for literal in literals:
-        grouped.setdefault(literal.entity, set()).add(literal)
-    return {entity: frozenset(group) for entity, group in grouped.items()}
-
-
-def _is_contradictory(literals: frozenset[Literal]) -> bool:
-    return any(literal.negated() in literals for literal in literals)
+_NO_PAIRS: Mapping[tuple[str, Polarity], int] = {}
 
 
 def forward_chain(theory: Theory) -> Closure:
     """Compute the closure with shortest-derivation depths.
 
-    Depth 0 marks asserted facts; a derived literal gets 1 plus the
-    largest body depth of the rule instance that first produced it.
-    Round-based evaluation makes that the minimum over all derivations.
+    A body is checked against the table as it stood before the round, so
+    a rule instance fires in the first round after its last condition
+    appeared: that round is the minimum depth over all derivations.
     """
-    known: dict[Literal, int] = {literal: 0 for literal in theory.facts}
+    table: dict[str, dict[tuple[str, Polarity], int]] = {}
+    for literal in theory.facts:
+        table.setdefault(literal.entity, {})[literal.attribute, literal.polarity] = 0
 
-    rules_by_condition: dict[tuple[str, Polarity], list[int]] = {}
-    for index, rule in enumerate(theory.rules):
+    rules_by_condition: dict[tuple[str, Polarity], list[Rule]] = {}
+    for rule in theory.rules:
         for condition in rule.body:
-            rules_by_condition.setdefault(condition, []).append(index)
+            rules_by_condition.setdefault(condition, []).append(rule)
 
-    def candidates_for(literal: Literal) -> set[tuple[int, str]]:
-        found: set[tuple[int, str]] = set()
-        for index in rules_by_condition.get((literal.attribute, literal.polarity), ()):
-            rule = theory.rules[index]
-            if rule.subject is None or rule.subject == literal.entity:
-                found.add((index, literal.entity))
-        return found
+    added = {entity: list(pairs) for entity, pairs in table.items()}
+    depth = 0
+    while added:
+        depth += 1
+        # Keyed by head, so a head that several rule instances reach in
+        # one round is carried into the next round once.
+        fresh: dict[str, dict[tuple[str, Polarity], None]] = {}
+        for entity, pairs in added.items():
+            known = table[entity]
+            for pair in pairs:
+                for rule in rules_by_condition.get(pair, ()):
+                    if ((rule.subject is None or rule.subject == entity)
+                            and rule.head not in known
+                            and all(condition in known for condition in rule.body)):
+                        fresh.setdefault(entity, {})[rule.head] = None
+        for entity, heads in fresh.items():
+            known = table[entity]
+            for head in heads:
+                known.setdefault(head, depth)
+        added = fresh
 
-    pending: set[tuple[int, str]] = set()
-    for literal in known:
-        pending |= candidates_for(literal)
+    contradictory = any((attribute, polarity.negated()) in pairs
+                        for pairs in table.values() for attribute, polarity in pairs)
+    return Closure(table=table, contradictory=contradictory, theory=theory)
 
-    while pending:
-        fresh: dict[Literal, int] = {}
-        for index, entity in pending:
-            rule = theory.rules[index]
-            body = [Literal(entity, attribute, polarity) for attribute, polarity in rule.body]
-            if any(literal not in known for literal in body):
-                continue
-            head = Literal(entity, rule.head[0], rule.head[1])
-            if head in known or head in fresh:
-                continue
-            fresh[head] = 1 + max(known[literal] for literal in body)
-        if not fresh:
-            break
-        known.update(fresh)
-        pending = set()
-        for literal in fresh:
-            pending |= candidates_for(literal)
 
-    literals = frozenset(known)
-    return Closure(
-        literals=literals,
-        depth=known,
-        contradictory=_is_contradictory(literals),
-        entity_index=_index_by_entity(literals),
-        theory=theory,
-    )
+def _verdict(pairs: Mapping[tuple[str, Polarity], int], attribute: str,
+             polarity: Polarity) -> VerdictStatus:
+    if (attribute, polarity.negated()) in pairs:
+        return VerdictStatus.CONTRADICTED
+    if (attribute, polarity) in pairs:
+        return VerdictStatus.VERIFIED
+    return VerdictStatus.UNSUPPORTED
 
 
 def verify_claim(claim: Literal, closure: Closure) -> VerdictStatus:
@@ -126,11 +119,7 @@ def verify_claim(claim: Literal, closure: Closure) -> VerdictStatus:
     claim itself is also derivable: refutation evidence outweighs support
     inside a contradictory closure.
     """
-    if claim.negated() in closure.literals:
-        return VerdictStatus.CONTRADICTED
-    if claim in closure.literals:
-        return VerdictStatus.VERIFIED
-    return VerdictStatus.UNSUPPORTED
+    return _verdict(closure.table.get(claim.entity, _NO_PAIRS), claim.attribute, claim.polarity)
 
 
 def decide_from_closure(closure: Closure, question: Question) -> Label:
@@ -138,22 +127,24 @@ def decide_from_closure(closure: Closure, question: Question) -> Label:
     itself derivable, else Unknown (undecided): neither polarity is
     derivable, or both are, and a theory that proves both polarities is not
     allowed to settle anything."""
-    verdict = verify_claim(question.target, closure)
+    target = question.target
+    verdict = verify_claim(target, closure)
     if verdict is VerdictStatus.VERIFIED:
         return Label.TRUE
-    if verdict is VerdictStatus.CONTRADICTED and question.target not in closure.literals:
+    if (verdict is VerdictStatus.CONTRADICTED
+            and (target.attribute, target.polarity)
+            not in closure.table.get(target.entity, _NO_PAIRS)):
         return Label.FALSE
     return Label.UNKNOWN
-
-
-def entity_has_closure_facts(closure: Closure, entity: str) -> bool:
-    return bool(closure.entity_index.get(entity))
 
 
 def verified_literals(closure: Closure, entity: str) -> list[Literal]:
     """The claims about entity that verify, shallowest derivation first
     (ties by attribute, then polarity): only closure literals verify, and
     only when their negation is not derivable."""
-    return sorted((literal for literal in closure.entity_index.get(entity, ())
-                   if verify_claim(literal, closure) is VerdictStatus.VERIFIED),
-                  key=lambda l: (closure.depth[l], l.attribute, l.polarity.value))
+    pairs = closure.table.get(entity, _NO_PAIRS)
+    # Polarity is a str enum, so polarities sort by their values.
+    verified = sorted((depth, attribute, polarity)
+                      for (attribute, polarity), depth in pairs.items()
+                      if _verdict(pairs, attribute, polarity) is VerdictStatus.VERIFIED)
+    return [Literal(entity, attribute, polarity) for _, attribute, polarity in verified]

@@ -346,6 +346,9 @@ class HttpGenerator:
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self._api_key_env, "")
+        if any(not " " <= char <= "~" for char in api_key):
+            # http.client cannot send it, and its error would show the key.
+            raise GeneratorError(f"the API key in ${self._api_key_env} must be printable ASCII")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
@@ -376,6 +379,7 @@ class HttpGenerator:
             "max_tokens": request.max_tokens,
             "temperature": request.temperature,
         }).encode("utf-8")
+        headers = self._headers()
         started = time.perf_counter()
         for attempt in range(self._max_retries + 1):
             if attempt:
@@ -387,7 +391,7 @@ class HttpGenerator:
             with self._gate:
                 connection = self._connection_class(self._netloc, timeout=self._timeout_s)
                 try:
-                    connection.request("POST", self._path, body, self._headers())
+                    connection.request("POST", self._path, body, headers)
                     with connection.getresponse() as response:
                         status, data = response.status, response.read()
                 except TimeoutError as exc:

@@ -29,8 +29,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
-from .closure import (Closure, VerdictStatus, decide_from_closure, entity_has_closure_facts,
-                      verified_literals, verify_claim)
+from .closure import Closure, VerdictStatus, decide_from_closure, verified_literals, verify_claim
 from .generation import (GenerationResponse, Generator, GeneratorError, build_sketch_prompt,
                          request_sketch)
 from .sketch import ParsedSketch, anchor_claims, parse_sketch
@@ -137,7 +136,7 @@ def select_budget(closure: Closure, question: Question, config: PipelineConfig) 
     """
     if config.fixed_budget is not None:
         return config.fixed_budget
-    if entity_has_closure_facts(closure, question.target.entity):
+    if question.target.entity in closure.table:
         return config.budget_anchored
     return config.budget_unanchored
 

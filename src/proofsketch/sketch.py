@@ -36,6 +36,8 @@ from .theory import Label, Literal, ParseError, Question, Theory, _parse_fact
 _LABEL_WORD_RE = re.compile(r"\b(true|false|unknown)\b", re.IGNORECASE)
 _TRAILING_COMMA_RE = re.compile(r",(\s*[}\]])")
 _CONTRACTION_RE = re.compile(r"\bisn'?t\b", re.IGNORECASE)
+# The characters that move a span scan: braces, quotes and backslashes.
+_SPAN_CHARS_RE = re.compile(r'[{}"\\]')
 
 _SMART_QUOTES = str.maketrans({"“": '"', "”": '"', "„": '"',
                                "‘": "'", "’": "'", "‚": "'"})
@@ -71,32 +73,66 @@ class ParsedSketch:
 
 
 def _balanced_object_span(text: str) -> str | None:
-    """First {...} span with balanced braces, tracking JSON string context."""
-    start = text.find("{")
-    while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for position in range(start, len(text)):
-            char = text[position]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif char == "\\":
-                    escaped = True
-                elif char == '"':
-                    in_string = False
-                continue
-            if char == '"':
-                in_string = True
-            elif char == "{":
-                depth += 1
-            elif char == "}":
-                depth -= 1
-                if depth == 0:
-                    return text[start : position + 1]
-        start = text.find("{", start + 1)
-    return None
+    """First {...} span with balanced braces, tracking JSON string context:
+    the span a scan from each "{" in turn would find first, in one pass.
+
+    A scan is in one of three string states at each character: outside a
+    string, inside one, or just after a backslash inside one. Scans in the
+    same state at the same character move in step from there on, their
+    depths a constant apart, so the pass follows one track per state. A
+    track keeps its depth and, for each depth that an unclosed "{" on it
+    closes at, the first such "{". Where two tracks reach the same state
+    they merge, the smaller into the larger.
+    """
+    first = text.find("{")
+    if first == -1:
+        return None
+    # A track is [depth, {depth before an unclosed "{": its position}].
+    outside = inside = escaped = None
+    best: tuple[int, int] | None = None
+    next_position = first
+    for match in _SPAN_CHARS_RE.finditer(text, first):
+        position, char = match.start(), match.group()
+        if position != next_position and escaped is not None:
+            # The ordinary character after a backslash ended the escape.
+            inside, escaped = _merge_tracks(inside, escaped), None
+        next_position = position + 1
+        if char == '"':
+            outside, inside, escaped = inside, _merge_tracks(outside, escaped), None
+        elif char == "\\":
+            inside, escaped = escaped, inside
+        else:
+            if escaped is not None:
+                inside, escaped = _merge_tracks(inside, escaped), None
+            if char == "{":
+                if outside is None:
+                    outside = [0, {}]
+                outside[1][outside[0]] = position
+                outside[0] += 1
+            elif outside is not None:  # "}"
+                outside[0] -= 1
+                start = outside[1].pop(outside[0], None)
+                if start is not None and (best is None or start < best[0]):
+                    best = (start, position)
+                if not outside[1]:
+                    outside = None
+                    if inside is None and escaped is None:
+                        break  # every later "{" starts after best
+    return None if best is None else text[best[0] : best[1] + 1]
+
+
+def _merge_tracks(a: list | None, b: list | None) -> list | None:
+    if a is None or b is None:
+        return a if b is None else b
+    if len(a[1]) < len(b[1]):
+        a, b = b, a
+    shift = a[0] - b[0]
+    opens = a[1]
+    for depth, start in b[1].items():
+        depth += shift
+        if depth not in opens or start < opens[depth]:
+            opens[depth] = start
+    return a
 
 
 def _fold_answer(raw: Any) -> Label | None:

@@ -12,8 +12,7 @@ import random
 from typing import Any
 
 from proofsketch.theory import Literal, Polarity, Question, Rule, Theory, literal_sort_key
-from proofsketch.closure import (Closure, _index_by_entity, _is_contradictory,
-                                 decide_from_closure, forward_chain)
+from proofsketch.closure import Closure, decide_from_closure, forward_chain
 from proofsketch.harness import DatasetRecord
 
 ENTITY_POOL = ("anne", "bob", "carol", "dave", "erin", "fiona", "gary", "harry")
@@ -86,33 +85,76 @@ def tiny_theory(rng: random.Random) -> Theory:
 def brute_force_closure(theory: Theory) -> Closure:
     """Reference fixpoint: sweep every rule over every entity until stable.
 
-    Slower than forward_chain and records no depths; used to cross-check
-    the production engine.
+    Each sweep reads only the literals found by earlier sweeps, so the
+    sweep in which a literal first appears is the length of its shortest
+    derivation. Slower than forward_chain; used to cross-check the
+    production engine, depths included.
     """
-    literals: set[Literal] = set(theory.facts)
+    depths: dict[Literal, int] = {literal: 0 for literal in theory.facts}
     entities = theory.entities()
-    changed = True
-    while changed:
-        changed = False
+    sweep = 0
+    while True:
+        sweep += 1
+        found = set()
         for rule in theory.rules:
             subjects = entities if rule.subject is None else (rule.subject,)
             for entity in subjects:
-                if all(
-                    Literal(entity, attribute, polarity) in literals
-                    for attribute, polarity in rule.body
-                ):
-                    head = Literal(entity, rule.head[0], rule.head[1])
-                    if head not in literals:
-                        literals.add(head)
-                        changed = True
-    frozen = frozenset(literals)
+                if all(Literal(entity, attribute, polarity) in depths
+                       for attribute, polarity in rule.body):
+                    found.add(Literal(entity, rule.head[0], rule.head[1]))
+        found.difference_update(depths)
+        if not found:
+            break
+        depths.update(dict.fromkeys(found, sweep))
     return Closure(
-        literals=frozen,
-        depth={},
-        contradictory=_is_contradictory(frozen),
-        entity_index=_index_by_entity(frozen),
+        table=closure_table(depths),
+        contradictory=any(literal.negated() in depths for literal in depths),
         theory=theory,
     )
+
+
+def closure_table(depths: dict[Literal, int]) -> dict[str, dict[tuple[str, Polarity], int]]:
+    """The Closure.table shape of a literal -> depth map."""
+    table: dict[str, dict[tuple[str, Polarity], int]] = {}
+    for literal, depth in depths.items():
+        table.setdefault(literal.entity, {})[literal.attribute, literal.polarity] = depth
+    return table
+
+
+def closure_depths(closure: Closure) -> dict[Literal, int]:
+    """Every literal in the closure with its depth."""
+    return {Literal(entity, attribute, polarity): depth
+            for entity, pairs in closure.table.items()
+            for (attribute, polarity), depth in pairs.items()}
+
+
+def rescanning_object_span(text: str) -> str | None:
+    """Reference for the sketch parser's span search: scan afresh from
+    each "{" in turn, tracking JSON string context, and return the first
+    balanced span found. Quadratic in the worst case."""
+    start = text.find("{")
+    while start != -1:
+        depth = 0
+        in_string = escaped = False
+        for position in range(start, len(text)):
+            char = text[position]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif char == "\\":
+                    escaped = True
+                elif char == '"':
+                    in_string = False
+            elif char == '"':
+                in_string = True
+            elif char == "{":
+                depth += 1
+            elif char == "}":
+                depth -= 1
+                if depth == 0:
+                    return text[start : position + 1]
+        start = text.find("{", start + 1)
+    return None
 
 
 def to_structured(theory: Theory) -> dict[str, Any]:

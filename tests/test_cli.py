@@ -43,6 +43,44 @@ DATASET_ROWS = [
     },
 ]
 
+# The closure command's exact output for two entities, a depth-2 literal
+# and a contradictory pair: rows by entity, then attribute, then negated
+# before positive.
+CLOSURE_GOLDEN_THEORY = ("Bob is big. Anne is round.\n"
+                         "If someone is round then they are kind.\n"
+                         "If someone is kind then they are not round.\n")
+CLOSURE_GOLDEN = """\
+{
+  "literals": [
+    {
+      "entity": "anne",
+      "attribute": "kind",
+      "negated": false,
+      "depth": 1
+    },
+    {
+      "entity": "anne",
+      "attribute": "round",
+      "negated": true,
+      "depth": 2
+    },
+    {
+      "entity": "anne",
+      "attribute": "round",
+      "negated": false,
+      "depth": 0
+    },
+    {
+      "entity": "bob",
+      "attribute": "big",
+      "negated": false,
+      "depth": 0
+    }
+  ],
+  "contradictory": true
+}
+"""
+
 
 def _error_line(capsys) -> str:
     """The one stderr line a failed command prints."""
@@ -97,6 +135,12 @@ class TestClosureCommand:
         payload = json.loads(capsys.readouterr().out)
         entries = {(r["entity"], r["attribute"]) for r in payload["literals"]}
         assert entries == {("anne", "big"), ("anne", "kind")}
+
+    def test_output_bytes(self, tmp_path, capsys) -> None:
+        path = tmp_path / "golden.txt"
+        path.write_text(CLOSURE_GOLDEN_THEORY, encoding="utf-8")
+        assert main(["closure", str(path)]) == 0
+        assert capsys.readouterr().out == CLOSURE_GOLDEN
 
 
 class TestAnswerCommand:
@@ -370,6 +414,40 @@ class TestUserErrors:
         argv = [arg.format(path=path, theory=theory_file, dir=tmp_path) for arg in command]
         assert main(argv) == 2
         assert _error_line(capsys) == f"proofsketch: error: {path}: not valid UTF-8 (byte 7)"
+
+    @pytest.mark.parametrize("command, name", [
+        (["closure", "{path}"], "theory.json"),
+        (["answer", "{theory}", "--question", "Is Bob kind?", "--config", "{path}"],
+         "config.json"),
+        (["answer", "{theory}", "--question", "Is Bob kind?", "--backend", "scripted",
+          "--script", "{path}"], "script.json"),
+        (["report", "{dir}"], "metrics.json"),
+    ], ids=("theory-json", "config", "script", "metrics"))
+    @pytest.mark.parametrize("content, reason", [
+        ("[" * 200_000, "nested too deeply"),
+        ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=("deep", "truncated"))
+    def test_invalid_json_file(self, theory_file, tmp_path, capsys, command, name, content,
+                               reason) -> None:
+        path = tmp_path / name
+        path.write_text(content, encoding="utf-8")
+        argv = [arg.format(path=path, theory=theory_file, dir=tmp_path) for arg in command]
+        assert main(argv) == 2
+        assert _error_line(capsys) == f"proofsketch: error: {path}: invalid JSON: {reason}"
+
+    @pytest.mark.parametrize("key", ["sk-leak\nsk-tail", "sk-leak\u20ac", "sk-leak\rsk-tail"],
+                             ids=("newline", "non-latin-1", "carriage-return"))
+    def test_unsendable_api_key_not_echoed(self, theory_file, capsys, monkeypatch, key) -> None:
+        # Rejected before any connection is tried, so no retry backoff sleeps.
+        monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
+        monkeypatch.setenv("PROOFSKETCH_API_KEY", key)
+        argv = ["answer", str(theory_file), "--question", "Is Bob kind?", "--backend", "http",
+                "--endpoint", "http://127.0.0.1:9/v1/chat/completions", "--model", "m"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("proofsketch: error: the API key in $PROOFSKETCH_API_KEY "
+                       "must be printable ASCII\n")
+        assert "sk-leak" not in err
 
     def test_non_utf8_dataset_line_rejected(self, dataset, tmp_path, capsys) -> None:
         with open(dataset, "ab") as handle:

@@ -4,14 +4,17 @@ and a brute-force reference implementation."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
-from proofsketch.closure import (VerdictStatus, decide_from_closure, entity_has_closure_facts,
-                                 forward_chain, verified_literals, verify_claim)
+from proofsketch.closure import (VerdictStatus, decide_from_closure, forward_chain,
+                                 verified_literals, verify_claim)
 
-from helpers import brute_force_closure, random_question, random_theory, tiny_theory
+from helpers import (brute_force_closure, closure_depths, closure_table, random_question,
+                     random_theory, tiny_theory)
 
 # Closures worked out by hand from the rendered theory text of
 # tiny_theory(random.Random(seed)).  Tuples are (entity, attribute,
@@ -72,8 +75,7 @@ class TestHandComputedClosures:
         theory = tiny_theory(random.Random(seed))
         closure = forward_chain(theory)
         expected = _as_literal_depths(HAND_CLOSURES[seed])
-        assert closure.literals == frozenset(expected)
-        assert dict(closure.depth) == expected
+        assert closure.table == closure_table(expected)
         assert closure.contradictory is HAND_CONTRADICTORY[seed]
 
     @pytest.mark.parametrize("seed", sorted(HAND_CLOSURES))
@@ -81,7 +83,7 @@ class TestHandComputedClosures:
         theory = tiny_theory(random.Random(seed))
         closure = brute_force_closure(theory)
         expected = _as_literal_depths(HAND_CLOSURES[seed])
-        assert closure.literals == frozenset(expected)
+        assert closure.table == closure_table(expected)
         assert closure.contradictory is HAND_CONTRADICTORY[seed]
 
 
@@ -92,8 +94,17 @@ class TestAgainstBruteForce:
             theory = random_theory(rng)
             fast = forward_chain(theory)
             slow = brute_force_closure(theory)
-            assert fast.literals == slow.literals
+            assert fast.table == slow.table
             assert fast.contradictory is slow.contradictory
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_tables_agree_with_depths(self, seed: int) -> None:
+        theory = random_theory(random.Random(seed), max_rules=12)
+        fast = forward_chain(theory)
+        slow = brute_force_closure(theory)
+        assert fast.table == slow.table
+        assert fast.contradictory is slow.contradictory
 
 
 class TestClosureProperties:
@@ -103,7 +114,7 @@ class TestClosureProperties:
             theory = random_theory(rng)
             closure = forward_chain(theory)
             for fact in theory.facts:
-                assert closure.depth[fact] == 0
+                assert closure.table[fact.entity][fact.attribute, fact.polarity] == 0
 
     def test_depth_soundness(self) -> None:
         # Every literal at depth d > 0 must be producible by some rule
@@ -112,8 +123,8 @@ class TestClosureProperties:
         rng = random.Random(8)
         for _ in range(150):
             theory = random_theory(rng)
-            closure = forward_chain(theory)
-            for literal, depth in closure.depth.items():
+            depths = closure_depths(forward_chain(theory))
+            for literal, depth in depths.items():
                 if depth == 0:
                     assert literal in theory.facts
                     continue
@@ -127,10 +138,9 @@ class TestClosureProperties:
                         Literal(literal.entity, attribute, polarity)
                         for attribute, polarity in rule.body
                     ]
-                    if not all(b in closure.depth for b in body):
+                    if not all(b in depths for b in body):
                         continue
-                    depths = [closure.depth[b] for b in body]
-                    if max(depths) == depth - 1:
+                    if max(depths[b] for b in body) == depth - 1:
                         supported = True
                         break
                 assert supported, (literal, depth)
@@ -146,15 +156,14 @@ class TestClosureProperties:
             reordered = parse_theory_structured_with_rules(theory, tuple(shuffled))
             a = forward_chain(theory)
             b = forward_chain(reordered)
-            assert a.literals == b.literals
-            assert dict(a.depth) == dict(b.depth)
+            assert a.table == b.table
             assert a.contradictory is b.contradictory
 
     def test_closure_contains_all_facts(self) -> None:
         rng = random.Random(10)
         for _ in range(100):
             theory = random_theory(rng)
-            assert theory.facts <= forward_chain(theory).literals
+            assert theory.facts <= closure_depths(forward_chain(theory)).keys()
 
     def test_termination_bound(self) -> None:
         # The fixpoint can take at most one round per derivable literal,
@@ -162,20 +171,18 @@ class TestClosureProperties:
         rng = random.Random(11)
         for _ in range(100):
             theory = random_theory(rng)
-            closure = forward_chain(theory)
-            if closure.depth:
-                assert max(closure.depth.values()) < len(closure.literals)
+            depths = closure_depths(forward_chain(theory))
+            if depths:
+                assert max(depths.values()) < len(depths)
 
-    def test_entity_index_partitions_literals(self) -> None:
+    def test_table_rows_are_non_empty(self) -> None:
+        # An entity is a key exactly when some literal about it is derivable.
         rng = random.Random(12)
         for _ in range(60):
             theory = random_theory(rng)
             closure = forward_chain(theory)
-            rebuilt = set()
-            for entity, literals in closure.entity_index.items():
-                assert all(lit.entity == entity for lit in literals)
-                rebuilt.update(literals)
-            assert rebuilt == set(closure.literals)
+            assert all(closure.table.values())
+            assert set(closure.table) == {fact.entity for fact in theory.facts}
 
 
 def parse_theory_structured_with_rules(theory, rules):
@@ -194,8 +201,7 @@ class TestDeepChain:
         )
         closure = forward_chain(theory)
         for index in range(4):
-            literal = Literal("anne", f"a{index}", Polarity.POSITIVE)
-            assert closure.depth[literal] == index
+            assert closure.table["anne"][f"a{index}", Polarity.POSITIVE] == index
 
     def test_depth_is_shortest_derivation(self) -> None:
         # a3 is reachable via the long chain (depth 3) and a shortcut
@@ -208,7 +214,7 @@ class TestDeepChain:
             "If someone is a0 then they are a3."
         )
         closure = forward_chain(theory)
-        assert closure.depth[Literal("anne", "a3", Polarity.POSITIVE)] == 1
+        assert closure.table["anne"]["a3", Polarity.POSITIVE] == 1
 
     def test_two_condition_rule_waits_for_both(self) -> None:
         theory = parse_theory_nl(
@@ -217,7 +223,22 @@ class TestDeepChain:
             "If someone is big and smart then they are kind."
         )
         closure = forward_chain(theory)
-        assert closure.depth[Literal("anne", "kind", Polarity.POSITIVE)] == 2
+        assert closure.table["anne"]["kind", Polarity.POSITIVE] == 2
+
+    def test_ladder_closes_quickly(self) -> None:
+        # Both rules of layer k need both heads of layer k - 1, so a loop
+        # that carried a head once per rule instance reaching it would
+        # handle 2^k copies of each head in round k.
+        layers = 40
+        sentences = ["Anne is a0.", "Anne is b0."]
+        for k in range(layers):
+            for head in ("a", "b"):
+                sentences.append(f"If someone is a{k} and b{k} then they are {head}{k + 1}.")
+        theory = parse_theory_nl(" ".join(sentences))
+        started = time.perf_counter()
+        closure = forward_chain(theory)
+        assert time.perf_counter() - started < 1.0
+        assert closure.table["anne"][f"b{layers}", Polarity.POSITIVE] == layers
 
 
 class TestDecideFromClosure:
@@ -271,8 +292,8 @@ class TestEntityHasClosureFacts:
     def test_present_and_absent(self) -> None:
         theory = parse_theory_nl("Anne is kind.")
         closure = forward_chain(theory)
-        assert entity_has_closure_facts(closure, "anne")
-        assert not entity_has_closure_facts(closure, "bob")
+        assert "anne" in closure.table
+        assert "bob" not in closure.table
 
     def test_matches_random_closures(self) -> None:
         rng = random.Random(13)
@@ -281,8 +302,9 @@ class TestEntityHasClosureFacts:
             closure = forward_chain(theory)
             question = random_question(rng, theory)
             entity = question.target.entity
-            expected = any(lit.entity == entity for lit in closure.literals)
-            assert entity_has_closure_facts(closure, entity) is expected
+            reference = closure_depths(brute_force_closure(theory))
+            expected = any(literal.entity == entity for literal in reference)
+            assert (entity in closure.table) is expected
 
 
 class TestEntityHasVerifiableLiteral:
@@ -301,5 +323,5 @@ class TestEntityHasVerifiableLiteral:
                 }
                 found = verified_literals(closure, entity)
                 assert len(found) == len(expected) and set(found) == expected
-                depths = [closure.depth[literal] for literal in found]
+                depths = [closure.table[entity][lit.attribute, lit.polarity] for lit in found]
                 assert depths == sorted(depths)

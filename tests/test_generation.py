@@ -235,7 +235,7 @@ class TestOracleGenerator:
         assert parsed.claims
         for claim in parsed.claims:
             assert claim.entity == "anne"
-            assert claim in closure.literals
+            assert (claim.attribute, claim.polarity) in closure.table["anne"]
 
     def test_claims_ordered_shallowest_first(self) -> None:
         question = parse_question("Is Anne kind?")

@@ -4,13 +4,16 @@ claim canonicalization, and anchoring."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
-from proofsketch.sketch import (ParseStatus, ParsedSketch, anchor_claims, canonicalize_claim,
-                                parse_sketch)
+from proofsketch.sketch import (ParseStatus, ParsedSketch, _balanced_object_span, anchor_claims,
+                                canonicalize_claim, parse_sketch)
+
+from helpers import rescanning_object_span
 
 THEORY = parse_theory_nl(
     "Anne is big. Bob is not green. Carol is quiet. "
@@ -173,6 +176,23 @@ class TestFailedParse:
         assert parsed.parse_status is ParseStatus.CLEAN
         assert parsed.claims == (ANNE_BIG,)
         assert parsed.dropped_claims == 1
+
+    @pytest.mark.parametrize("text", ["{" * 100_000, '{"\\"' * 25_000],
+                             ids=("braces", "escaped-quotes"))
+    def test_long_unbalanced_reply_parses_quickly(self, text: str) -> None:
+        # Rescanning from every "{" takes minutes on either reply.
+        started = time.perf_counter()
+        parsed = parse_sketch(text, THEORY)
+        assert time.perf_counter() - started < 1.0
+        assert parsed.parse_status is ParseStatus.FAILED
+        assert parsed.claims == ()
+
+
+class TestObjectSpan:
+    @given(st.text(alphabet='{}"\\ a:,', max_size=40))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_rescanning_reference(self, text: str) -> None:
+        assert _balanced_object_span(text) == rescanning_object_span(text)
 
 
 class TestCanonicalizeClaim:
