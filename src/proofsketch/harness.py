@@ -14,7 +14,8 @@ pair through one loop, on one thread pool when workers > 1, and returns
 the results method-major in dataset order. Metrics per method: accuracy,
 certification rate, mean completion tokens, nearest-rank 95th-percentile
 tokens, mean latency. Token savings between two methods is
-1 - mean_a / mean_b on mean tokens.
+1 - mean_a / mean_b on the unrounded mean tokens; metrics.json stores it,
+and a report read back from there renders the stored figure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 from .closure import Closure, forward_chain
 from .generation import BASELINE_BUDGETS, Generator, Method, build_baseline_prompt, request_sketch
-from .selector import Certification, PipelineConfig, run_pipeline
+from .selector import Certification, PipelineConfig, ScoreTuple, run_pipeline
 from .sketch import last_label_word
 from .theory import Label, ParseError, Question, SchemaError, parse_question, parse_theory_nl
 
@@ -79,7 +80,7 @@ class EvalRecord:
     generator_calls: int
     answer_source: str | None = None
     unparseable: bool = False
-    sketch_scores: tuple[tuple[int, int, int, int], ...] | None = None
+    sketch_scores: tuple[ScoreTuple, ...] | None = None
 
     def to_json_dict(self) -> dict:
         row = {
@@ -221,7 +222,7 @@ def run_proofsketch(record: DatasetRecord, config: PipelineConfig,
         latency_ms=result.latency_ms,
         generator_calls=result.generator_calls,
         answer_source=result.answer_source.value,
-        sketch_scores=tuple(sketch.score.as_tuple() for sketch in result.sketches),
+        sketch_scores=tuple(sketch.score for sketch in result.sketches),
     )
 
 
@@ -263,7 +264,13 @@ class MethodMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """Per-method metrics, and the ProofSketch token savings against each
+    baseline in percent. compute_metrics works the savings out from the
+    unrounded means; a report read back from metrics.json keeps the stored
+    ones, since its means are rounded."""
+
     per_method: dict[str, MethodMetrics]
+    token_savings_percent: dict[str, float]
 
     def to_json_dict(self) -> dict:
         methods = {
@@ -277,14 +284,7 @@ class MetricsReport:
             }
             for name, metrics in sorted(self.per_method.items())
         }
-        savings = {}
-        sketch = Method.PROOFSKETCH.value
-        if sketch in self.per_method:
-            for baseline in (m.value for m in Method if m is not Method.PROOFSKETCH):
-                if baseline in self.per_method and self.per_method[baseline].mean_tokens > 0:
-                    fraction = token_savings(self, sketch, baseline)
-                    savings[f"{sketch}_vs_{baseline}"] = savings_percent(fraction)
-        return {"methods": methods, "token_savings_percent": savings}
+        return {"methods": methods, "token_savings_percent": self.token_savings_percent}
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "MetricsReport":
@@ -300,8 +300,13 @@ class MetricsReport:
                 if not isinstance(value, kind) or isinstance(value, bool):
                     raise SchemaError(f"metrics.json: methods.{name}.{column} must be "
                                       + ("an integer" if column == "n" else "a number"))
+        savings = doc.get("token_savings_percent")
+        if not isinstance(savings, dict) or not all(
+                isinstance(value, (int, float)) and not isinstance(value, bool)
+                for value in savings.values()):
+            raise SchemaError("metrics.json: token_savings_percent must be an object of numbers")
         return cls({name: MethodMetrics(**{column: row[column] for column in _REPORT_COLUMNS})
-                    for name, row in methods.items()})
+                    for name, row in methods.items()}, savings)
 
 
 def nearest_rank_p95(values: Sequence[float]) -> float:
@@ -336,7 +341,14 @@ def compute_metrics(records: Sequence[EvalRecord]) -> MetricsReport:
         )
         for name, rows in grouped.items()
     }
-    return MetricsReport(per_method)
+    report = MetricsReport(per_method, {})
+    sketch = Method.PROOFSKETCH.value
+    if sketch in per_method:
+        for baseline in (m.value for m in Method if m is not Method.PROOFSKETCH):
+            if baseline in per_method and per_method[baseline].mean_tokens > 0:
+                fraction = token_savings(report, sketch, baseline)
+                report.token_savings_percent[f"{sketch}_vs_{baseline}"] = savings_percent(fraction)
+    return report
 
 
 def token_savings(report: MetricsReport, method_a: str, method_b: str) -> float:

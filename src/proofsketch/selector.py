@@ -5,14 +5,14 @@ immediately when the closure already decides the question; otherwise
 sample up to max_sketches budgeted sketches, or 1 when the closure can
 verify nothing about the queried entity (claims are anchored to it, so no
 sketch could certify), verify every anchored claim against the closure,
-and stop early on the first sketch whose claims all verify. If no sketch
-fully certifies, the best one wins under a lexicographic score and the
-closure gets a final veto over the answer.
+and stop at the first sketch whose claims all verify. The best sketch
+under a lexicographic score then answers: a certified one (the last one
+sampled) for itself, any other under the closure's final veto.
 
-The score orders sketches by full certification, then number of verified
-claims, then fewer generated tokens, then consistency (no contradicted
-claim, and agreement with the closure when the closure has an opinion).
-Ties keep the earliest sketch.
+A score is a named tuple, so scores compare as tuples: by full
+certification, then number of verified claims, then fewer generated
+tokens, then consistency (no contradicted claim, and agreement with the
+closure when the closure has an opinion). Ties keep the earliest sketch.
 
 Claim verdicts and the closure's decision come from closure.py; a run
 decides its question once and hands the decision to every score. A
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .closure import Closure, VerdictStatus, decide_from_closure, verified_literals, verify_claim
 from .generation import (GenerationResponse, Generator, GeneratorError, build_sketch_prompt,
@@ -49,9 +50,8 @@ class AnswerSource(str, Enum):
     CLOSURE_CORRECTION = "ClosureCorrection"
 
 
-@dataclass(frozen=True)
-class ScoreTuple:
-    """Lexicographic sketch score; larger wins, compared field by field.
+class ScoreTuple(NamedTuple):
+    """Lexicographic sketch score; larger wins, compared as a tuple.
 
     score_sketch makes every score: cert and consistency are 0 or 1,
     verified_count >= 0, neg_tokens <= 0, and cert implies a verified claim.
@@ -62,14 +62,10 @@ class ScoreTuple:
     neg_tokens: int
     consistency: int
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.cert, self.verified_count, self.neg_tokens, self.consistency)
-
 
 def compare_scores(a: ScoreTuple, b: ScoreTuple) -> int:
     """-1, 0, or 1 as a scores below, equal to, or above b."""
-    left, right = a.as_tuple(), b.as_tuple()
-    return (left > right) - (left < right)
+    return (a > b) - (a < b)
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,7 @@ class PipelineResult:
                     ],
                     "dropped_claims": sketch.parsed.dropped_claims,
                     "tokens": sketch.raw.completion_tokens,
-                    "score": asdict(sketch.score),
+                    "score": sketch.score._asdict(),
                 }
                 for index, sketch in enumerate(self.sketches)
             ],
@@ -212,15 +208,6 @@ def score_sketch(parsed: ParsedSketch, raw: GenerationResponse, closure: Closure
     return ScoredSketch(raw=raw, parsed=parsed, verdicts=verdicts, score=score)
 
 
-def _closure_result(label: Label, started: float) -> PipelineResult:
-    return PipelineResult(
-        answer=label,
-        verified_claims=(),
-        answer_source=AnswerSource.CLOSURE_SHORT_CIRCUIT,
-        latency_ms=(time.perf_counter() - started) * 1000.0,
-    )
-
-
 def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
                  generator: Generator) -> PipelineResult:
     """Answer one question with closure-gated sketch sampling.
@@ -230,13 +217,18 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
     """
     started = time.perf_counter()
     decision = decide_from_closure(closure, question)
-
-    if config.closure_short_circuit:
-        if decision is not Label.UNKNOWN:
-            return _closure_result(decision, started)
-        if (config.certify_unknown_from_closure
-                and verify_claim(question.target, closure) is VerdictStatus.UNSUPPORTED):
-            return _closure_result(Label.UNKNOWN, started)
+    # With certify_unknown_from_closure, an undecided question whose target
+    # the closure derives in neither polarity is answered Unknown here too.
+    if config.closure_short_circuit and (
+            decision is not Label.UNKNOWN
+            or (config.certify_unknown_from_closure
+                and verify_claim(question.target, closure) is VerdictStatus.UNSUPPORTED)):
+        return PipelineResult(
+            answer=decision,
+            verified_claims=(),
+            answer_source=AnswerSource.CLOSURE_SHORT_CIRCUIT,
+            latency_ms=(time.perf_counter() - started) * 1000.0,
+        )
 
     budget = select_budget(closure, question, config)
     prompt = build_sketch_prompt(closure.theory, question)
@@ -252,31 +244,20 @@ def run_pipeline(closure: Closure, question: Question, config: PipelineConfig,
             exc.calls_made = call_index + 1
             exc.tokens_generated = sum(sketch.raw.completion_tokens for sketch in scored)
             raise
-        parsed = parse_sketch(raw.text, closure.theory)
-        anchored = anchor_claims(parsed.claims, question)
-        if len(anchored) != len(parsed.claims):
-            removed = len(parsed.claims) - len(anchored)
-            parsed = replace(parsed, claims=anchored,
-                             dropped_claims=parsed.dropped_claims + removed)
-        sketch = score_sketch(parsed, raw, closure, decision)
-        scored.append(sketch)
-        if sketch.score.cert == 1:
-            return PipelineResult(
-                answer=parsed.answer,
-                verified_claims=parsed.claims,
-                answer_source=AnswerSource.CERTIFIED_SKETCH,
-                latency_ms=(time.perf_counter() - started) * 1000.0,
-                sketches=tuple(scored),
-            )
+        parsed = anchor_claims(parse_sketch(raw.text, closure.theory), question)
+        scored.append(score_sketch(parsed, raw, closure, decision))
+        if scored[-1].score.cert:
+            break
 
-    # max() keeps the earliest of tied sketches, matching the tie rule.
-    best = max(scored, key=lambda sketch: sketch.score.as_tuple())
-    if decision is not Label.UNKNOWN:
-        answer = decision
-        source = AnswerSource.CLOSURE_CORRECTION
+    # max() keeps the earliest of tied sketches, matching the tie rule. The
+    # loop stops at the first certified sketch, so it is the best one.
+    best = max(scored, key=lambda sketch: sketch.score)
+    if best.score.cert:
+        answer, source = best.parsed.answer, AnswerSource.CERTIFIED_SKETCH
+    elif decision is not Label.UNKNOWN:
+        answer, source = decision, AnswerSource.CLOSURE_CORRECTION
     else:
-        answer = best.parsed.answer
-        source = AnswerSource.BEST_SKETCH
+        answer, source = best.parsed.answer, AnswerSource.BEST_SKETCH
     verified_claims = tuple(
         claim for claim, status in zip(best.parsed.claims, best.verdicts)
         if status is VerdictStatus.VERIFIED

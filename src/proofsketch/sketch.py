@@ -12,24 +12,26 @@ a bounded repair pass before giving up:
     4. case-fold the answer into {True, False, Unknown}, mapping the
        synonyms yes/no/cannot be determined/unproven/uncertain
 
-Output that survives direct parsing with exact labels is Clean; output
-that needs any repair step is Repaired. Everything else is Failed: the
-claims are emptied and the answer falls back to the last occurrence of
-a label word anywhere in the raw text (Unknown when none appears).
-A sketch whose claims all fail to canonicalize is likewise Failed, since
-an unverifiable sketch has no standing.
+One decoder makes both passes. Output that it decodes as it stands, with
+exact labels, is Clean; output that needs any repair step is Repaired.
+Everything else is Failed: the claims are emptied and the answer falls
+back to the last occurrence of a label word anywhere in the raw text
+(Unknown when none appears). A sketch whose claims all fail to
+canonicalize is likewise Failed, since an unverifiable sketch has no
+standing.
 
 parse_sketch takes the completion text and never raises, whatever bytes
-the generator produced.
+the generator produced. anchor_claims then keeps the claims about the
+queried entity and counts the rest as dropped.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 from .theory import Label, Literal, ParseError, Question, Theory, _parse_fact
 
@@ -42,6 +44,7 @@ _SPAN_CHARS_RE = re.compile(r'[{}"\\]')
 _SMART_QUOTES = str.maketrans({"“": '"', "”": '"', "„": '"',
                                "‘": "'", "’": "'", "‚": "'"})
 
+_LABEL_VALUES = tuple(label.value for label in Label)
 _ANSWER_SYNONYMS = {
     "true": Label.TRUE,
     "yes": Label.TRUE,
@@ -63,8 +66,8 @@ class ParseStatus(str, Enum):
 @dataclass(frozen=True)
 class ParsedSketch:
     """Decoded sketch: an answer plus canonical, deduplicated claims, none
-    when Failed. parse_sketch makes it and guarantees both; anchoring in
-    run_pipeline only removes claims."""
+    when Failed. parse_sketch makes it and guarantees both; anchor_claims
+    only removes claims, adding each removed one to dropped_claims."""
 
     answer: Label
     claims: tuple[Literal, ...]
@@ -141,47 +144,29 @@ def _fold_answer(raw: Any) -> Label | None:
     return _ANSWER_SYNONYMS.get(raw.strip().lower())
 
 
-def _claim_strings(raw: Any) -> list[str] | None:
-    if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
-        return None
-    return list(raw)
+def _exact_label(raw: Any) -> Label | None:
+    return Label(raw) if raw in _LABEL_VALUES else None
 
 
-def _strict_decode(text: str) -> tuple[Label, list[str]] | None:
+def _repair(text: str) -> str:
+    """The first balanced {...} span with trailing commas removed and smart
+    quotes made plain; empty when text has no such span."""
+    span = _balanced_object_span(text) or ""
+    return _TRAILING_COMMA_RE.sub(r"\1", span).translate(_SMART_QUOTES)
+
+
+def _decode(text: str, fold: Callable[[Any], Label | None]) -> tuple[Label, list[str]] | None:
+    """The answer, folded by fold, and claim strings of one JSON object."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError):
         return None
     if not isinstance(obj, dict):
         return None
-    answer = obj.get("answer")
-    if answer not in (Label.TRUE.value, Label.FALSE.value, Label.UNKNOWN.value):
+    answer, claims = fold(obj.get("answer")), obj.get("claims")
+    if answer is None or not isinstance(claims, list):
         return None
-    claims = _claim_strings(obj.get("claims"))
-    if claims is None:
-        return None
-    return Label(answer), claims
-
-
-def _repaired_decode(text: str) -> tuple[Label, list[str]] | None:
-    span = _balanced_object_span(text)
-    if span is None:
-        return None
-    span = _TRAILING_COMMA_RE.sub(r"\1", span)
-    span = span.translate(_SMART_QUOTES)
-    try:
-        obj = json.loads(span)
-    except (json.JSONDecodeError, RecursionError):
-        return None
-    if not isinstance(obj, dict):
-        return None
-    answer = _fold_answer(obj.get("answer"))
-    if answer is None:
-        return None
-    claims = _claim_strings(obj.get("claims"))
-    if claims is None:
-        return None
-    return answer, claims
+    return (answer, claims) if all(isinstance(claim, str) for claim in claims) else None
 
 
 def last_label_word(text: str) -> Label | None:
@@ -209,11 +194,11 @@ def canonicalize_claim(claim_text: str, theory: Theory) -> Literal | None:
 
 def parse_sketch(text: str, theory: Theory) -> ParsedSketch:
     """Decode raw generator text into a ParsedSketch. Total: never raises."""
-    decoded = _strict_decode(text)
     status = ParseStatus.CLEAN
+    decoded = _decode(text, _exact_label)
     if decoded is None:
-        decoded = _repaired_decode(text)
         status = ParseStatus.REPAIRED
+        decoded = _decode(_repair(text), _fold_answer)
     if decoded is None:
         return ParsedSketch(last_label_word(text) or Label.UNKNOWN, (), ParseStatus.FAILED)
 
@@ -232,7 +217,11 @@ def parse_sketch(text: str, theory: Theory) -> ParsedSketch:
     return ParsedSketch(answer, tuple(claims), status, dropped_claims=dropped)
 
 
-def anchor_claims(claims: tuple[Literal, ...], question: Question) -> tuple[Literal, ...]:
-    """Keep only claims about the queried entity, in order. The claims come
-    from a ParsedSketch, which already holds each claim once."""
-    return tuple(claim for claim in claims if claim.entity == question.target.entity)
+def anchor_claims(parsed: ParsedSketch, question: Question) -> ParsedSketch:
+    """parsed with only its claims about the queried entity, in order; the
+    others are added to dropped_claims."""
+    anchored = tuple(claim for claim in parsed.claims if claim.entity == question.target.entity)
+    if len(anchored) == len(parsed.claims):
+        return parsed
+    return replace(parsed, claims=anchored,
+                   dropped_claims=parsed.dropped_claims + len(parsed.claims) - len(anchored))

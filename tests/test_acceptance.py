@@ -437,7 +437,10 @@ def test_criterion_10_lexicographic_order() -> None:
         if compare_scores(a, a) != 0:
             problems.append(f"triple {index}: reflexivity broken")
             break
-        if (ab > 0) != (a.as_tuple() > b.as_tuple()) or (ab == 0) != (a.as_tuple() == b.as_tuple()):
+        # The field order spelled out, so a reordered ScoreTuple fails here.
+        left = (a.cert, a.verified_count, a.neg_tokens, a.consistency)
+        right = (b.cert, b.verified_count, b.neg_tokens, b.consistency)
+        if (ab > 0) != (left > right) or (ab == 0) != (left == right):
             problems.append(f"triple {index}: disagrees with tuple order")
             break
     _criterion(10, "score comparison total, antisymmetric, transitive on 10k triples", problems)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -16,6 +18,8 @@ import pytest
 from proofsketch import cli
 from proofsketch.cli import UsageError, _parse_budgets, _record_seed, build_parser, main
 from proofsketch.closure import forward_chain
+from proofsketch.generation import HttpGenerator
+from proofsketch.selector import PipelineConfig
 from proofsketch.theory import parse_theory_nl
 
 from test_generation import _StubEndpoint, _ok_payload
@@ -80,6 +84,10 @@ CLOSURE_GOLDEN = """\
   "contradictory": true
 }
 """
+
+
+METRICS_ROW = {"accuracy": 1.0, "cert_rate": 0.0, "mean_tokens": 1.0, "p95_tokens": 1.0,
+               "mean_latency_ms": 1.0, "n": 1}
 
 
 def _error_line(capsys) -> str:
@@ -290,6 +298,22 @@ class TestEvalCommand:
         assert out.startswith("method,metric,value")
         assert "ProofSketch,accuracy,1.00" in out
 
+    def test_report_reproduces_run(self, dataset, tmp_path, capsys) -> None:
+        # ProofSketch averages 8/3 tokens here (four 2-token replies on the
+        # one undecided question), each baseline 2: savings -33.3% from the
+        # exact means, but -33.5% from the rounded 2.67 in metrics.json.
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["Answer: Unknown"]), encoding="utf-8")
+        out_dir = tmp_path / "run"
+        assert main(["eval", str(dataset), "--method", "all", "--backend", "scripted",
+                     "--script", str(script), "--out", str(out_dir)]) == 0
+        table = capsys.readouterr().out
+        assert "Token savings ProofSketch vs LongCoT: -33.3%" in table
+        assert main(["report", str(out_dir), "--format", "json"]) == 0
+        assert capsys.readouterr().out == (out_dir / "metrics.json").read_text(encoding="utf-8")
+        assert main(["report", str(out_dir), "--format", "md"]) == 0
+        assert capsys.readouterr().out + "\n" == table
+
     def test_missing_dataset_errors(self, tmp_path, capsys) -> None:
         assert main(["eval", str(tmp_path / "nope.jsonl")]) == 2
         assert "nope.jsonl" in _error_line(capsys)
@@ -487,6 +511,12 @@ class TestUserErrors:
         ({"methods": {"ZeroShot": {"accuracy": "x", "cert_rate": 0.0, "mean_tokens": 1.0,
                                    "p95_tokens": 1.0, "mean_latency_ms": 1.0, "n": 1}}},
          "metrics.json: methods.ZeroShot.accuracy must be a number"),
+        ({"methods": {"ZeroShot": METRICS_ROW}},
+         "metrics.json: token_savings_percent must be an object of numbers"),
+        ({"methods": {"ZeroShot": METRICS_ROW}, "token_savings_percent": [1.0]},
+         "metrics.json: token_savings_percent must be an object of numbers"),
+        ({"methods": {"ZeroShot": METRICS_ROW}, "token_savings_percent": {"a_vs_b": True}},
+         "metrics.json: token_savings_percent must be an object of numbers"),
     ])
     def test_malformed_metrics(self, tmp_path, capsys, doc, message) -> None:
         (tmp_path / "metrics.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -502,6 +532,17 @@ class TestUserErrors:
         config.write_text(json.dumps({"max_sketches": True}), encoding="utf-8")
         assert main(argv) == 2
         assert _error_line(capsys).endswith("'max_sketches' must be an integer")
+
+
+class TestConfigKeys:
+    def test_config_types_match_their_sources(self) -> None:
+        pipeline = {field.name for field in dataclasses.fields(PipelineConfig)}
+        assert not pipeline & cli._HTTP_KEYS
+        assert set(cli._CONFIG_TYPES) == (pipeline | cli._HTTP_KEYS
+                                          | {"endpoint_url", "model_name"})
+
+    def test_http_keys_are_http_generator_parameters(self) -> None:
+        assert cli._HTTP_KEYS <= set(inspect.signature(HttpGenerator).parameters)
 
 
 class TestAblateCommand:

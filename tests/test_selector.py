@@ -75,8 +75,9 @@ class TestVerifyClaim:
 
 
 class TestScoreTuple:
-    def test_as_tuple_field_order(self) -> None:
-        assert ScoreTuple(1, 2, -50, 1).as_tuple() == (1, 2, -50, 1)
+    def test_field_order(self) -> None:
+        assert ScoreTuple._fields == ("cert", "verified_count", "neg_tokens", "consistency")
+        assert ScoreTuple(1, 2, -50, 1) == (1, 2, -50, 1)
 
     @given(
         closure=st.sampled_from([CLOSURE, CONTRADICTORY]),
@@ -124,7 +125,7 @@ class TestScoreSketch:
             Literal("bob", "round", Polarity.POSITIVE),
         )
         scored = score_sketch(parsed, _raw(50), CLOSURE, OPEN)
-        assert scored.score.as_tuple() == (1, 1, -50, 1)
+        assert scored.score == (1, 1, -50, 1)
         assert scored.verdicts == (VerdictStatus.VERIFIED,)
 
     def test_two_verified_fifty_tokens(self) -> None:
@@ -135,7 +136,7 @@ class TestScoreSketch:
         )
         # Question on bob keeps the closure undecided for consistency.
         scored = score_sketch(parsed, _raw(50), CLOSURE, OPEN)
-        assert scored.score.as_tuple() == (1, 2, -50, 1)
+        assert scored.score == (1, 2, -50, 1)
 
     def test_one_of_two_verified(self) -> None:
         parsed = _sketch(
@@ -144,23 +145,23 @@ class TestScoreSketch:
             Literal("bob", "kind", Polarity.POSITIVE),
         )
         scored = score_sketch(parsed, _raw(30), CLOSURE, OPEN)
-        assert scored.score.as_tuple() == (0, 1, -30, 1)
+        assert scored.score == (0, 1, -30, 1)
 
     def test_contradicted_kills_consistency(self) -> None:
         parsed = _sketch(Label.UNKNOWN, Literal("bob", "round", Polarity.NEGATIVE))
         scored = score_sketch(parsed, _raw(10), CLOSURE, OPEN)
-        assert scored.score.as_tuple() == (0, 0, -10, 0)
+        assert scored.score == (0, 0, -10, 0)
 
     def test_disagreeing_with_decided_closure(self) -> None:
         # Claims verify but the answer fights the closure's verdict.
         parsed = _sketch(Label.FALSE, Literal("anne", "big", Polarity.POSITIVE))
         scored = score_sketch(parsed, _raw(20), CLOSURE, DECIDED)
-        assert scored.score.as_tuple() == (1, 1, -20, 0)
+        assert scored.score == (1, 1, -20, 0)
 
     def test_agreeing_with_decided_closure(self) -> None:
         parsed = _sketch(Label.TRUE, Literal("anne", "big", Polarity.POSITIVE))
         scored = score_sketch(parsed, _raw(20), CLOSURE, DECIDED)
-        assert scored.score.as_tuple() == (1, 1, -20, 1)
+        assert scored.score == (1, 1, -20, 1)
 
     def test_failed_sketch_scores_zero(self) -> None:
         parsed = ParsedSketch(Label.UNKNOWN, (), ParseStatus.FAILED)

@@ -156,6 +156,15 @@ class TestFailedParse:
         parsed = parse_sketch('{"answer": "True", "claims": [1, 2]}', THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
 
+    @pytest.mark.parametrize("answer", [["True"], {"True": 1}], ids=("list", "object"))
+    @pytest.mark.parametrize("wrap", ["{}", "Sure: {}, done"], ids=("strict", "repaired"))
+    def test_non_string_answer(self, answer, wrap: str) -> None:
+        # Not a label on either pass, and never used as a lookup key.
+        sketch = json.dumps({"answer": answer, "claims": ["anne is big"]})
+        parsed = parse_sketch(wrap.format(sketch), THEORY)
+        assert parsed.parse_status is ParseStatus.FAILED
+        assert parsed.claims == ()
+
     def test_empty_claim_list_is_failed(self) -> None:
         # A sketch with nothing checkable has no standing, whatever its
         # answer field says; the answer still comes from the text scan.
@@ -294,14 +303,20 @@ class TestTotality:
 class TestAnchorClaims:
     def test_filters_to_question_entity(self) -> None:
         question = parse_question("Is Anne kind?")
-        claims = (BOB_GREEN_NEG, ANNE_BIG, ANNE_KIND)
-        assert anchor_claims(claims, question) == (ANNE_BIG, ANNE_KIND)
+        parsed = ParsedSketch(Label.TRUE, (BOB_GREEN_NEG, ANNE_BIG, ANNE_KIND),
+                              ParseStatus.CLEAN, dropped_claims=2)
+        anchored = anchor_claims(parsed, question)
+        assert anchored.claims == (ANNE_BIG, ANNE_KIND)
+        assert anchored.dropped_claims == 3
+        assert (anchored.answer, anchored.parse_status) == (Label.TRUE, ParseStatus.CLEAN)
 
-    def test_preserves_order_and_dedups(self) -> None:
+    def test_preserves_order(self) -> None:
         question = parse_question("Is Anne kind?")
-        claims = (ANNE_KIND, ANNE_BIG)
-        assert anchor_claims(claims, question) == (ANNE_KIND, ANNE_BIG)
+        parsed = ParsedSketch(Label.TRUE, (ANNE_KIND, ANNE_BIG), ParseStatus.REPAIRED)
+        assert anchor_claims(parsed, question) == parsed
 
     def test_may_be_empty(self) -> None:
         question = parse_question("Is Carol quiet?")
-        assert anchor_claims((ANNE_BIG,), question) == ()
+        parsed = ParsedSketch(Label.UNKNOWN, (ANNE_BIG,), ParseStatus.CLEAN)
+        assert anchor_claims(parsed, question) == ParsedSketch(
+            Label.UNKNOWN, (), ParseStatus.CLEAN, dropped_claims=1)
