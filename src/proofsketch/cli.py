@@ -33,14 +33,14 @@ _METHOD_CHOICES = {
 _PIPELINE_KEYS = {f.name for f in dataclass_fields(PipelineConfig)}
 # The --config keys passed to HttpGenerator as they are; its signature
 # holds their defaults.
-_HTTP_KEYS = {"api_key_env", "timeout_ms", "max_retries", "max_in_flight"}
+_HTTP_KEYS = {"api_key_env", "timeout_ms", "max_retries"}
 
 # Every --config key (the PipelineConfig fields and the http backend's
 # settings) with its accepted JSON types. bool is an int subclass in
 # Python, so it passes only where it is listed.
 _CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
-    **dict.fromkeys(("max_sketches", "budget_anchored", "budget_unanchored", "max_retries",
-                     "max_in_flight"), ((int,), "an integer")),
+    **dict.fromkeys(("max_sketches", "budget_anchored", "budget_unanchored", "max_retries"),
+                    ((int,), "an integer")),
     "fixed_budget": ((int, type(None)), "an integer or null"),
     **dict.fromkeys(("temperature", "timeout_ms"), ((int, float), "a number")),
     **dict.fromkeys(("certify_unknown_from_closure", "closure_short_circuit"),

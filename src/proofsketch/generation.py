@@ -18,7 +18,8 @@ it:
 A backend that a run shares across questions (scripted, http) is safe for
 concurrent calls; an oracle is built per question and never shared.
 HttpGenerator opens one http.client connection per attempt, verifies https
-with the default SSL context, and reads no proxy or .netrc settings.
+with the default SSL context, and reads no proxy or .netrc settings. It
+adds no concurrency limit: the caller's thread count is the one bound.
 
 Token accounting for local backends is whitespace tokenization; the HTTP
 backend trusts the endpoint's usage.completion_tokens when it is a
@@ -301,8 +302,8 @@ class HttpGenerator:
     Transport failures and 5xx responses are retried with exponential
     backoff plus jitter; 3xx and 4xx responses and deadline overruns fail
     immediately. The API key is read from the named environment variable
-    at call time and never logged. max_in_flight bounds concurrency;
-    instances are safe to share across threads.
+    at call time and never logged. Instances are safe to share across
+    threads; each calling thread has at most one request in flight.
     """
 
     def __init__(self, endpoint_url: str, model_name: str, *,
@@ -310,12 +311,9 @@ class HttpGenerator:
                  timeout_ms: float = 30000.0,
                  max_retries: int = 2,
                  backoff_base_s: float = 0.25,
-                 backoff_jitter_s: float = 0.1,
-                 max_in_flight: int = 4) -> None:
+                 backoff_jitter_s: float = 0.1) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
         if not 0 < timeout_ms <= sys.float_info.max:
             raise ValueError("timeout_ms must be a finite positive number")
         try:
@@ -339,7 +337,6 @@ class HttpGenerator:
         self._max_retries = max_retries
         self._backoff_base_s = backoff_base_s
         self._backoff_jitter_s = backoff_jitter_s
-        self._gate = threading.BoundedSemaphore(max_in_flight)
         self._stats_lock = threading.Lock()
         self.retries_total = 0
 
@@ -388,22 +385,21 @@ class HttpGenerator:
                 delay = self._backoff_base_s * (2 ** (attempt - 1))
                 delay += random.uniform(0.0, self._backoff_jitter_s)
                 time.sleep(delay)
-            with self._gate:
-                connection = self._connection_class(self._netloc, timeout=self._timeout_s)
-                try:
-                    connection.request("POST", self._path, body, headers)
-                    with connection.getresponse() as response:
-                        status, data = response.status, response.read()
-                except TimeoutError as exc:
-                    raise GenerationTimeout(
-                        f"no response within {self._timeout_s * 1000:.0f} ms"
-                    ) from exc
-                except (OSError, http.client.HTTPException) as exc:
-                    last_error = GeneratorError(f"transport failure: {exc}")
-                    logger.debug("transport failure on attempt %d: %s", attempt + 1, exc)
-                    continue
-                finally:
-                    connection.close()
+            connection = self._connection_class(self._netloc, timeout=self._timeout_s)
+            try:
+                connection.request("POST", self._path, body, headers)
+                with connection.getresponse() as response:
+                    status, data = response.status, response.read()
+            except TimeoutError as exc:
+                raise GenerationTimeout(
+                    f"no response within {self._timeout_s * 1000:.0f} ms"
+                ) from exc
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = GeneratorError(f"transport failure: {exc}")
+                logger.debug("transport failure on attempt %d: %s", attempt + 1, exc)
+                continue
+            finally:
+                connection.close()
             if status >= 500:
                 last_error = GeneratorError(f"server error {status}", status_code=status)
                 logger.debug("server error %d on attempt %d", status, attempt + 1)

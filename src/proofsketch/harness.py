@@ -25,7 +25,7 @@ import math
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -33,7 +33,7 @@ from .closure import Closure, forward_chain
 from .generation import BASELINE_BUDGETS, Generator, Method, build_baseline_prompt, request_sketch
 from .selector import Certification, PipelineConfig, ScoreTuple, run_pipeline
 from .sketch import last_label_word
-from .theory import Label, ParseError, Question, SchemaError, parse_question, parse_theory_nl
+from .theory import Label, Question, SchemaError, parse_question, parse_theory_nl
 
 
 class EmptyDatasetError(ValueError):
@@ -156,7 +156,7 @@ def load_dataset(path: str | Path) -> LoadResult:
                 continue
             try:
                 records.append(_validate_line(obj, closures))
-            except (ValueError, ParseError) as exc:
+            except ValueError as exc:
                 rejects.append(RejectedLine(line_number, str(exc)))
     if not records:
         raise EmptyDatasetError(f"no valid records in {path}")
@@ -262,6 +262,9 @@ class MethodMetrics:
     n: int
 
 
+_REPORT_COLUMNS = tuple(field.name for field in fields(MethodMetrics))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Per-method metrics, and the ProofSketch token savings against each
@@ -274,14 +277,8 @@ class MetricsReport:
 
     def to_json_dict(self) -> dict:
         methods = {
-            name: {
-                "accuracy": round(metrics.accuracy, 2),
-                "cert_rate": round(metrics.cert_rate, 2),
-                "mean_tokens": round(metrics.mean_tokens, 2),
-                "p95_tokens": round(metrics.p95_tokens, 2),
-                "mean_latency_ms": round(metrics.mean_latency_ms, 2),
-                "n": metrics.n,
-            }
+            name: {column: value if column == "n" else round(value, 2)
+                   for column, value in asdict(metrics).items()}
             for name, metrics in sorted(self.per_method.items())
         }
         return {"methods": methods, "token_savings_percent": self.token_savings_percent}
@@ -404,9 +401,6 @@ def ablation_csv(rows: Sequence[AblationRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_REPORT_COLUMNS = ("accuracy", "cert_rate", "mean_tokens", "p95_tokens", "mean_latency_ms", "n")
-
-
 def emit_report(report: MetricsReport, fmt: str) -> str:
     """Render a metrics report as markdown, csv, or json."""
     doc = report.to_json_dict()
@@ -419,6 +413,8 @@ def emit_report(report: MetricsReport, fmt: str) -> str:
                 value = row[column]
                 rendered = str(value) if column == "n" else f"{value:.2f}"
                 lines.append(f"{name},{column},{rendered}")
+        for pair, percent in sorted(doc["token_savings_percent"].items()):
+            lines.append(f"{pair},token_savings_percent,{percent:.1f}")
         return "\n".join(lines) + "\n"
     if fmt == "md":
         lines = ["| Method | Acc | Tok | Cert |", "| --- | --- | --- | --- |"]

@@ -91,8 +91,9 @@ class PipelineConfig:
     Exactly one budget policy applies: setting fixed_budget switches the
     adaptive two-tier policy off, and leaving it unset switches it on.
     closure_short_circuit exists for diagnostics; with it off, closure-
-    decided questions still run the sampling loop and get their answer
-    restored by the final closure correction. certify_unknown_from_closure
+    decided questions run the sampling loop too, and a certified sketch
+    answers for itself even against the closure's decision (only an
+    uncertified one is overridden). certify_unknown_from_closure
     additionally certifies Unknown when neither polarity is derivable,
     trusting the closure as complete for this fragment; it never applies
     when both polarities are derivable, since a contradictory theory must

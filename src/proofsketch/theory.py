@@ -170,7 +170,8 @@ class Rule:
 
     subject is a canonical entity name, or None when the rule ranges over
     every entity the theory mentions. body conditions and the head are
-    (attribute, polarity) pairs.
+    (attribute, polarity) pairs. A rule with an empty body, a repeated
+    condition, or a head among its conditions raises ParseError.
     """
 
     subject: str | None
@@ -179,14 +180,14 @@ class Rule:
 
     def __post_init__(self) -> None:
         if not self.body:
-            raise ValueError("rule body must have at least one condition")
+            raise ParseError("rule body must have at least one condition")
         seen: set[tuple[str, Polarity]] = set()
         for attribute, polarity in self.body:
             if (attribute, polarity) in seen:
-                raise ValueError(f"duplicate body condition {attribute!r}")
+                raise ParseError(f"duplicate body condition {attribute!r}")
             seen.add((attribute, polarity))
         if self.head in seen:
-            raise ValueError(f"rule head {self.head[0]!r} repeats a body condition")
+            raise ParseError(f"rule head {self.head[0]!r} repeats a body condition")
 
 
 @dataclass(frozen=True)
@@ -314,10 +315,7 @@ def _parse_rule_if(sentence: str) -> Rule:
     if ref not in _PRONOUN_REFS and ref != subject:
         raise ParseError(f"rule conclusion subject {ref!r} does not match the rule subject")
     head = (canonicalize_symbol(head_match["attr"]), _polarity(head_match["neg"]))
-    try:
-        return Rule(subject, tuple(body), head)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return Rule(subject, tuple(body), head)
 
 
 def _parse_rule_all(sentence: str) -> Rule:
@@ -329,10 +327,7 @@ def _parse_rule_all(sentence: str) -> Rule:
         raise ParseError("no attributes before 'people'/'things'")
     body = tuple((canonicalize_symbol(part), Polarity.POSITIVE) for part in attributes)
     head = (canonicalize_symbol(match["head"]), _polarity(match["neg"]))
-    try:
-        return Rule(None, body, head)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return Rule(None, body, head)
 
 
 def parse_theory_nl(text: str) -> Theory:

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -239,7 +240,7 @@ class TestAnswerCommand:
             config.write_text(json.dumps({
                 "endpoint_url": endpoint.url, "model_name": "stub-model",
                 "api_key_env": "PROOFSKETCH_TEST_KEY", "timeout_ms": 5000,
-                "max_retries": 0, "max_in_flight": 1,
+                "max_retries": 0,
             }), encoding="utf-8")
             argv = ["answer", str(theory_file), "--question", "Is Bob kind?",
                     "--backend", "http", "--config", str(config)]
@@ -374,10 +375,10 @@ class TestUserErrors:
         ({"max_sketches": 0}, [], "config file: max_sketches must be at least 1"),
         ({}, ["eval", "--workers", "0"], "--workers must be between 1 and 64"),
         ({}, ["eval", "--flip", "2"], "flip_answer_prob must lie in [0, 1]"),
-        ({"max_in_flight": 0},
+        ({"max_in_flight": 4},
          ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
           "--model", "m"],
-         "config file: max_in_flight must be at least 1"),
+         "config file has unknown key(s): max_in_flight"),
         ({"temperature": float("nan")}, [], "config key 'temperature' must be a finite number"),
         ({"timeout_ms": float("nan")},
          ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
@@ -543,6 +544,14 @@ class TestConfigKeys:
 
     def test_http_keys_are_http_generator_parameters(self) -> None:
         assert cli._HTTP_KEYS <= set(inspect.signature(HttpGenerator).parameters)
+
+    def test_readme_lists_the_config_keys(self) -> None:
+        # The list under README's "Pipeline configuration" heading, up to
+        # the first blank line after it, names every key and no other.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Pipeline configuration\n", 1)[1]
+        listed = section[section.index("\n- "):section.index("\n\n", section.index("\n- "))]
+        assert set(re.findall(r"`([a-z_]+)`", listed)) == set(cli._CONFIG_TYPES)
 
 
 class TestAblateCommand:

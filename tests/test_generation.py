@@ -301,7 +301,8 @@ class TestOracleGenerator:
 
 
 class _StubEndpoint:
-    """Serves a scripted action per request: ok / status / sleep / garbage."""
+    """Serves a scripted action per request: ok / status / sleep / garbage /
+    barrier (wait on a threading.Barrier, then ok, or 503 if it breaks)."""
 
     def __init__(self) -> None:
         self.actions: list[tuple] = []
@@ -336,6 +337,13 @@ class _StubEndpoint:
                     self._reply(action[1], b"")
                 elif kind == "garbage":
                     self._reply(200, b"this is not json")
+                elif kind == "barrier":
+                    try:
+                        action[1].wait()
+                    except threading.BrokenBarrierError:
+                        self._reply(503, b"")
+                    else:
+                        self._reply(200, json.dumps(action[2]).encode())
                 else:
                     self._reply(200, json.dumps(action[1]).encode())
 
@@ -506,13 +514,13 @@ class TestHttpGenerator:
 
     @pytest.mark.parametrize("kwargs", [
         {"timeout_ms": 0}, {"timeout_ms": float("nan")}, {"timeout_ms": float("inf")},
-        {"timeout_ms": 10 ** 400}, {"max_in_flight": 0}, {"max_retries": -1},
+        {"timeout_ms": 10 ** 400}, {"max_retries": -1},
     ])
     def test_invalid_settings_rejected(self, kwargs) -> None:
         with pytest.raises(ValueError) as excinfo:
             HttpGenerator("http://127.0.0.1:9/v1/chat/completions", "test-model", **kwargs)
         # The message names the bad setting and no other.
-        settings = ("timeout_ms", "max_in_flight", "max_retries")
+        settings = ("timeout_ms", "max_retries")
         assert {name for name in settings if name in str(excinfo.value)} == set(kwargs)
 
     def test_api_key_header(self, stub, monkeypatch) -> None:
@@ -535,6 +543,29 @@ class TestHttpGenerator:
 
 
 class TestThreadSafety:
+    def test_http_generator_adds_no_cap(self, stub) -> None:
+        # Six threads share one client. The stub answers only once all six
+        # requests are in flight together (503 if that takes over 3 s), so
+        # any cap below the caller's thread count fails every call.
+        barrier = threading.Barrier(6, timeout=3)
+        stub.plan(*[("barrier", barrier, _ok_payload("hi"))] * 6)
+        client = _client(stub, max_retries=0)
+        results: list[object] = []
+
+        def call() -> None:
+            try:
+                results.append(client.generate(REQUEST).text)
+            except GeneratorError as exc:
+                results.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == ["hi"] * 6
+
     def test_wrapped_generator_serializes_calls(self) -> None:
         # A run shares one scripted generator across questions; its own
         # lock hands each concurrent call a distinct response.

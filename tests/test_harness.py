@@ -429,6 +429,15 @@ class TestEmitReport:
         assert "LongCoT,mean_tokens,218.71" in lines
         assert "ProofSketch,n,100" in lines
 
+    def test_csv_token_savings_rows(self) -> None:
+        # After the method rows, one row per stored pair, sorted by pair.
+        report = MetricsReport(self._report().per_method, {
+            "ProofSketch_vs_ZeroShot": -12.0, "ProofSketch_vs_LongCoT": 36.9})
+        lines = emit_report(report, "csv").strip().split("\n")
+        assert len(lines) == 1 + 2 * 6 + 2
+        assert lines[-2:] == ["ProofSketch_vs_LongCoT,token_savings_percent,36.9",
+                              "ProofSketch_vs_ZeroShot,token_savings_percent,-12.0"]
+
     def test_json_round_trip(self) -> None:
         report = self._report()
         text = emit_report(report, "json")

@@ -285,6 +285,19 @@ class TestRunPipeline:
         assert result.generator_calls == 4
         assert result.certification is Certification.UNCERTIFIED
 
+    def test_certified_sketch_answers_against_the_closure(self) -> None:
+        # With the short circuit disabled, a certified sketch answers for
+        # itself on a decided question, even where the closure disagrees.
+        script = ['{"answer": "False", "claims": ["anne is big"]}']
+        generator = ScriptedGenerator(script)
+        config = PipelineConfig(closure_short_circuit=False)
+        result = run_pipeline(CLOSURE, DECIDED_Q, config, generator)
+        assert DECIDED is Label.TRUE
+        assert result.answer is Label.FALSE
+        assert result.answer_source is AnswerSource.CERTIFIED_SKETCH
+        assert result.certification is Certification.CERTIFIED
+        assert result.generator_calls == 1
+
     def test_off_entity_claims_anchor_away(self) -> None:
         # Claims about anne cannot certify a question about bob.
         script = ['{"answer": "Unknown", "claims": ["anne is big"]}'] * 4
