@@ -35,9 +35,8 @@ _PIPELINE_KEYS = {f.name for f in dataclass_fields(PipelineConfig)}
 # holds their defaults.
 _HTTP_KEYS = {"api_key_env", "timeout_ms", "max_retries"}
 
-# Every --config key (the PipelineConfig fields and the http backend's
-# settings) with its accepted JSON types. bool is an int subclass in
-# Python, so it passes only where it is listed.
+# Every --config key (the PipelineConfig fields and _HTTP_KEYS) with its accepted
+# JSON types. bool is an int subclass in Python, so it passes only where it is listed.
 _CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
     **dict.fromkeys(("max_sketches", "budget_anchored", "budget_unanchored", "max_retries"),
                     ((int,), "an integer")),
@@ -45,7 +44,7 @@ _CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
     **dict.fromkeys(("temperature", "timeout_ms"), ((int, float), "a number")),
     **dict.fromkeys(("certify_unknown_from_closure", "closure_short_circuit"),
                     ((bool,), "a boolean")),
-    **dict.fromkeys(("endpoint_url", "model_name", "api_key_env"), ((str,), "a string")),
+    "api_key_env": ((str,), "a string"),
 }
 
 
@@ -126,14 +125,12 @@ def _generator_for(args: argparse.Namespace,
             raise UsageError("script file must hold a JSON array of strings")
         shared = ScriptedGenerator(script, strict=False)
     elif args.backend == "http":
-        endpoint = args.endpoint or config_doc.get("endpoint_url")
-        model = args.model or config_doc.get("model_name")
-        if not endpoint or not model:
+        if not args.endpoint or not args.model:
             raise UsageError("--backend http requires --endpoint and --model")
         try:
             settings = {key: config_doc[key] for key in config_doc.keys() & _HTTP_KEYS}
-            shared = HttpGenerator(endpoint, model, **settings)
-        except ValueError as exc:  # an EndpointError names the endpoint, wherever it came from
+            shared = HttpGenerator(args.endpoint, args.model, **settings)
+        except ValueError as exc:  # an EndpointError names the --endpoint value
             prefix = "" if isinstance(exc, EndpointError) else "config file: "
             raise UsageError(f"{prefix}{exc}") from exc
     else:

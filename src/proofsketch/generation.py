@@ -299,6 +299,9 @@ class EndpointError(ValueError):
 class HttpGenerator:
     """Chat-completions client for an OpenAI-compatible endpoint.
 
+    It posts the prompt as one user message and reads the reply from
+    choices[0].message.content only.
+
     Transport failures and 5xx responses are retried with exponential
     backoff plus jitter; 3xx and 4xx responses and deadline overruns fail
     immediately. The API key is read from the named environment variable
@@ -356,11 +359,8 @@ class HttpGenerator:
         except (KeyError, IndexError, TypeError) as exc:
             raise GeneratorError("completion payload has no choices") from exc
         message = choice.get("message") if isinstance(choice, dict) else None
-        if isinstance(message, dict) and isinstance(message.get("content"), str):
-            text = message["content"]
-        elif isinstance(choice, dict) and isinstance(choice.get("text"), str):
-            text = choice["text"]
-        else:
+        text = message.get("content") if isinstance(message, dict) else None
+        if not isinstance(text, str):
             raise GeneratorError("completion payload has no text content")
         usage = data.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None

@@ -1,9 +1,10 @@
 """Dataset loading, evaluation runs, metrics, and reports.
 
-Datasets are JSONL: one object per non-blank line with id, theory,
-question, answer, and an optional depth. Lines that fail validation are
-collected into a rejects report instead of aborting the load, so a run
-always states exactly which inputs it covered. Loading parses and closes
+Datasets are JSONL: one object per non-blank line with a unique id,
+theory, question, answer, and an optional depth. Lines that fail
+validation, or reuse the id of a record already kept, are collected into
+a rejects report instead of aborting the load, so a run always states
+exactly which inputs it covered. Loading parses and closes
 each distinct theory text once; every record about that theory shares
 the closure, which every method then reads instead of the text.
 
@@ -137,6 +138,7 @@ def load_dataset(path: str | Path) -> LoadResult:
     records: list[DatasetRecord] = []
     rejects: list[RejectedLine] = []
     closures: dict[str, Closure] = {}
+    first_lines: dict[str, int] = {}  # record id -> line number of the record kept
     # surrogateescape turns each undecodable byte into a lone surrogate, which
     # encoding back to UTF-8 finds, so lines split as they would if decoded strictly.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
@@ -155,9 +157,16 @@ def load_dataset(path: str | Path) -> LoadResult:
                 rejects.append(RejectedLine(line_number, f"invalid JSON: {reason}"))
                 continue
             try:
-                records.append(_validate_line(obj, closures))
+                record = _validate_line(obj, closures)
             except ValueError as exc:
                 rejects.append(RejectedLine(line_number, str(exc)))
+                continue
+            first = first_lines.setdefault(record.record_id, line_number)
+            if first != line_number:
+                rejects.append(RejectedLine(
+                    line_number, f"duplicate id {record.record_id!r} (first on line {first})"))
+                continue
+            records.append(record)
     if not records:
         raise EmptyDatasetError(f"no valid records in {path}")
     return LoadResult(tuple(records), tuple(rejects))

@@ -21,7 +21,8 @@ Natural-language text is a sequence of period-terminated sentences:
     RULE-ALL  All <Attr>[, <Attr>] (people|things) are [not] <Attr>.
 
 Questions are either declarative ("Anne is kind.") or interrogative
-("Is Anne kind?"), both naming a single entity/attribute pair.
+("Is Anne kind?"), both naming a single entity/attribute pair. A 'not'
+needs an attribute after it: "Anne is not." is an error.
 
 The structured format is a JSON object:
 
@@ -29,6 +30,12 @@ The structured format is a JSON object:
      "rules": [{"subject": "*" | <name>,
                 "body": [{"attribute": ..., "negated": ...}],
                 "head": {"attribute": ..., "negated": ...}}]}
+
+A structured theory reaches the generator as Theory.to_text, so it may
+not use a name those sentences would read back differently: the attribute
+'not', a fact entity 'if' or 'all' (the sentence reads as a rule), a rule
+subject 'someone' or 'something' (it reads as every entity), or 'then' or
+'and' as a rule condition's attribute (it ends or splits the conditions).
 
 All symbols pass through one canonicalizer, so "Anne", " anne " and
 "Anne." name the same entity, and "the bald eagle" becomes "bald-eagle".
@@ -65,6 +72,10 @@ _COND_BARE_RE = re.compile(
 )
 
 _UNIVERSAL_SUBJECTS = frozenset({"someone", "something"})
+# Names a structured theory may not use, by position (module docstring).
+_RESERVED_ATTRIBUTES = frozenset({"not"})
+_RESERVED_CONDITIONS = _RESERVED_ATTRIBUTES | {"then", "and"}
+_RESERVED_FACT_ENTITIES = frozenset({"if", "all"})
 _PRONOUN_REFS = frozenset({"they", "it"})
 _QUESTION_WORDS = frozenset({"who", "whom", "whose", "what", "which", "where", "when", "why", "how"})
 
@@ -227,7 +238,9 @@ class Theory:
         return self._attributes
 
     def to_text(self) -> str:
-        """Render as grammar-conforming sentences; inverse of parse_theory_nl."""
+        """Render as grammar-conforming sentences. For every theory that
+        parse_theory_structured accepts, parse_theory_nl reads the text back
+        as an equal theory."""
         lines = []
         for literal in sorted(self.facts, key=literal_sort_key):
             lines.append(_capitalize(literal.to_text()) + ".")
@@ -267,8 +280,12 @@ def _split_sentences(text: str) -> list[str]:
     return [part.strip() for part in text.split(".") if part.strip()]
 
 
-def _polarity(neg: str | None) -> Polarity:
-    return Polarity.NEGATIVE if neg else Polarity.POSITIVE
+def _condition(neg: str | None, text: str) -> tuple[str, Polarity]:
+    """A clause's '[not] <attribute>' tail; a lone 'not' is no attribute."""
+    attribute = canonicalize_symbol(text)
+    if attribute == "not":
+        raise ParseError("'not' needs an attribute after it")
+    return attribute, Polarity.NEGATIVE if neg else Polarity.POSITIVE
 
 
 def _parse_fact(sentence: str) -> Literal:
@@ -276,8 +293,7 @@ def _parse_fact(sentence: str) -> Literal:
     if not match:
         raise ParseError("expected '<name> is [not] <attribute>'")
     entity = canonicalize_symbol(match["subj"])
-    attribute = canonicalize_symbol(match["attr"])
-    return Literal(entity, attribute, _polarity(match["neg"]))
+    return Literal(entity, *_condition(match["neg"], match["attr"]))
 
 
 def _parse_rule_if(sentence: str) -> Rule:
@@ -291,7 +307,7 @@ def _parse_rule_if(sentence: str) -> Rule:
         raise ParseError("rule condition must name its subject: '<subject> is <attribute>'")
     subject_word = canonicalize_symbol(first["ref"])
     subject = None if subject_word in _UNIVERSAL_SUBJECTS else subject_word
-    body = [(canonicalize_symbol(first["attr"]), _polarity(first["neg"]))]
+    body = [_condition(first["neg"], first["attr"])]
 
     echoes = set(_PRONOUN_REFS)
     echoes.update(_UNIVERSAL_SUBJECTS if subject is None else {subject})
@@ -301,12 +317,12 @@ def _parse_rule_if(sentence: str) -> Rule:
             ref = canonicalize_symbol(full["ref"])
             if ref not in echoes:
                 raise ParseError(f"rule condition subject {ref!r} does not match the rule subject")
-            body.append((canonicalize_symbol(full["attr"]), _polarity(full["neg"])))
+            body.append(_condition(full["neg"], full["attr"]))
             continue
         bare = _COND_BARE_RE.match(conjunct)
         if not bare:
             raise ParseError(f"unparseable rule condition {conjunct!r}")
-        body.append((canonicalize_symbol(bare["attr"]), _polarity(bare["neg"])))
+        body.append(_condition(bare["neg"], bare["attr"]))
 
     head_match = _COND_FULL_RE.match(match["head"])
     if not head_match:
@@ -314,8 +330,7 @@ def _parse_rule_if(sentence: str) -> Rule:
     ref = canonicalize_symbol(head_match["ref"])
     if ref not in _PRONOUN_REFS and ref != subject:
         raise ParseError(f"rule conclusion subject {ref!r} does not match the rule subject")
-    head = (canonicalize_symbol(head_match["attr"]), _polarity(head_match["neg"]))
-    return Rule(subject, tuple(body), head)
+    return Rule(subject, tuple(body), _condition(head_match["neg"], head_match["attr"]))
 
 
 def _parse_rule_all(sentence: str) -> Rule:
@@ -325,9 +340,8 @@ def _parse_rule_all(sentence: str) -> Rule:
     attributes = [part.strip() for part in match["attrs"].split(",") if part.strip()]
     if not attributes:
         raise ParseError("no attributes before 'people'/'things'")
-    body = tuple((canonicalize_symbol(part), Polarity.POSITIVE) for part in attributes)
-    head = (canonicalize_symbol(match["head"]), _polarity(match["neg"]))
-    return Rule(None, body, head)
+    body = tuple(_condition(None, part) for part in attributes)
+    return Rule(None, body, _condition(match["neg"], match["head"]))
 
 
 def parse_theory_nl(text: str) -> Theory:
@@ -349,9 +363,7 @@ def parse_theory_nl(text: str) -> Theory:
             else:
                 facts.add(_parse_fact(sentence))
         except ParseError as exc:
-            if exc.sentence_index is None:
-                raise ParseError(exc.reason, index, sentence) from exc
-            raise
+            raise ParseError(exc.reason, index, sentence) from exc
     return Theory(frozenset(facts), tuple(rules), source_text=text)
 
 
@@ -369,16 +381,20 @@ def _field(mapping: Any, key: str, kind: type, path: str) -> Any:
     return _expect(mapping[key], kind, f"{path}.{key}")
 
 
-def _canonical_field(mapping: Any, key: str, path: str) -> str:
+def _canonical_field(mapping: Any, key: str, path: str, reserved: frozenset[str]) -> str:
     raw = _field(mapping, key, str, path)
     try:
-        return canonicalize_symbol(raw)
+        symbol = canonicalize_symbol(raw)
     except EmptySymbolError as exc:
         raise SchemaError(f"{path}.{key}: {exc.reason}") from exc
+    if symbol in reserved:
+        raise SchemaError(f"{path}.{key}: {symbol!r} is a reserved word here")
+    return symbol
 
 
-def _parse_condition_obj(obj: Any, path: str) -> tuple[str, Polarity]:
-    attribute = _canonical_field(obj, "attribute", path)
+def _parse_condition_obj(obj: Any, path: str,
+                         reserved: frozenset[str]) -> tuple[str, Polarity]:
+    attribute = _canonical_field(obj, "attribute", path, reserved)
     negated = _field(obj, "negated", bool, path)
     return attribute, Polarity.NEGATIVE if negated else Polarity.POSITIVE
 
@@ -397,10 +413,8 @@ def parse_theory_structured(doc: Any) -> Theory:
     literals: set[Literal] = set()
     for index, entry in enumerate(facts):
         path = f"facts[{index}]"
-        entity = _canonical_field(entry, "entity", path)
-        attribute = _canonical_field(entry, "attribute", path)
-        negated = _field(entry, "negated", bool, path)
-        literals.add(Literal(entity, attribute, Polarity.NEGATIVE if negated else Polarity.POSITIVE))
+        entity = _canonical_field(entry, "entity", path, _RESERVED_FACT_ENTITIES)
+        literals.add(Literal(entity, *_parse_condition_obj(entry, path, _RESERVED_ATTRIBUTES)))
 
     parsed_rules: list[Rule] = []
     for index, entry in enumerate(rules):
@@ -409,14 +423,14 @@ def parse_theory_structured(doc: Any) -> Theory:
         if raw_subject in ("*", ""):
             subject = None
         else:
-            subject = _canonical_field(entry, "subject", path)
+            subject = _canonical_field(entry, "subject", path, _UNIVERSAL_SUBJECTS)
         body_entries = _field(entry, "body", list, path)
         body = tuple(
-            _parse_condition_obj(item, f"{path}.body[{position}]")
+            _parse_condition_obj(item, f"{path}.body[{position}]", _RESERVED_CONDITIONS)
             for position, item in enumerate(body_entries)
         )
         head = _parse_condition_obj(
-            _field(entry, "head", dict, path), f"{path}.head"
+            _field(entry, "head", dict, path), f"{path}.head", _RESERVED_ATTRIBUTES
         )
         try:
             parsed_rules.append(Rule(subject, body, head))
@@ -440,12 +454,9 @@ def parse_question(text: str) -> Question:
         words = stripped.split()
         if len(words) < 3:
             raise ParseError("expected 'Is <name> [not] <attribute>?'")
-        attribute = canonicalize_symbol(words[-1])
         remainder = words[1:-1]
-        polarity = Polarity.POSITIVE
-        if remainder and remainder[-1].lower() == "not":
-            polarity = Polarity.NEGATIVE
-            remainder = remainder[:-1]
+        neg = remainder.pop() if remainder and remainder[-1].lower() == "not" else None
+        attribute, polarity = _condition(neg, words[-1])
         if not remainder:
             raise ParseError("question names no entity")
         entity = canonicalize_symbol(" ".join(remainder))

@@ -238,12 +238,11 @@ class TestAnswerCommand:
                           ("ok", _ok_payload('{"answer": "Unknown", "claims": ["bob is round"]}')))
             config = tmp_path / "config.json"
             config.write_text(json.dumps({
-                "endpoint_url": endpoint.url, "model_name": "stub-model",
-                "api_key_env": "PROOFSKETCH_TEST_KEY", "timeout_ms": 5000,
-                "max_retries": 0,
+                "api_key_env": "PROOFSKETCH_TEST_KEY", "timeout_ms": 5000, "max_retries": 0,
             }), encoding="utf-8")
             argv = ["answer", str(theory_file), "--question", "Is Bob kind?",
-                    "--backend", "http", "--config", str(config)]
+                    "--backend", "http", "--endpoint", endpoint.url, "--model", "stub-model",
+                    "--config", str(config)]
             # max_retries 0: the 500 is not retried.
             assert main(argv) == 2
             assert _error_line(capsys) == "proofsketch: error: server error 500"
@@ -394,6 +393,15 @@ class TestUserErrors:
           "--model", "m"],
          "config key 'timeout_ms' must be a finite number"),
         ({"temperature": -10 ** 400}, [], "config key 'temperature' must be a finite number"),
+        # The endpoint and model are named by --endpoint and --model alone.
+        ({"endpoint_url": "http://127.0.0.1:9/v1"},
+         ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+          "--model", "m"],
+         "config file has unknown key(s): endpoint_url"),
+        ({"model_name": "m"},
+         ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+          "--model", "m"],
+         "config file has unknown key(s): model_name"),
     ])
     def test_config_value_types(self, theory_file, dataset, tmp_path, capsys, doc, backend,
                                 message) -> None:
@@ -539,8 +547,7 @@ class TestConfigKeys:
     def test_config_types_match_their_sources(self) -> None:
         pipeline = {field.name for field in dataclasses.fields(PipelineConfig)}
         assert not pipeline & cli._HTTP_KEYS
-        assert set(cli._CONFIG_TYPES) == (pipeline | cli._HTTP_KEYS
-                                          | {"endpoint_url", "model_name"})
+        assert set(cli._CONFIG_TYPES) == pipeline | cli._HTTP_KEYS
 
     def test_http_keys_are_http_generator_parameters(self) -> None:
         assert cli._HTTP_KEYS <= set(inspect.signature(HttpGenerator).parameters)
@@ -552,6 +559,63 @@ class TestConfigKeys:
         section = readme.split("## Pipeline configuration\n", 1)[1]
         listed = section[section.index("\n- "):section.index("\n\n", section.index("\n- "))]
         assert set(re.findall(r"`([a-z_]+)`", listed)) == set(cli._CONFIG_TYPES)
+
+
+_HTTP_ARGS = ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+              "--model", "m"]
+_ANSWER = ["answer", "{dir}/theory.txt", "--question", "Is Bob kind?"]
+_DUPLICATE_IDS = "".join(
+    json.dumps({"id": "r1", "theory": "Anne is big.", "question": "Is Anne big?",
+                "answer": answer}) + "\n" for answer in ("True", "False"))
+
+
+class TestReadmeErrorExamples:
+    """Every example the README's "Errors" section quotes with its message,
+    run through main(): the command gives that message, word for word as
+    the README quotes it, so the docs cannot drift from the code."""
+
+    @pytest.mark.parametrize("argv, files, key, quoted", [
+        (_ANSWER + ["--config", "{dir}/config.json"], {"config.json": '{"temperature": NaN}'},
+         "", "config key 'temperature' must be a finite number"),
+        (_ANSWER + _HTTP_ARGS + ["--config", "{dir}/config.json"],
+         {"config.json": '{"max_retries": -1}'}, "",
+         "config file: max_retries must be non-negative"),
+        (["eval", "{dir}/data.jsonl", "--workers", "0"], {"data.jsonl": _DUPLICATE_IDS}, "",
+         "--workers must be between 1 and 64"),
+        (_ANSWER + _HTTP_ARGS, {}, "sk-leak\nsk-tail",
+         "the API key in $PROOFSKETCH_API_KEY must be printable ASCII"),
+        (["report", "{dir}"],
+         {"metrics.json": json.dumps({"methods": {"ZeroShot": {"accuracy": "x"}}})}, "",
+         "metrics.json: methods.ZeroShot.accuracy must be a number"),
+        (["report", "{dir}"], {"metrics.json": json.dumps({"methods": {"ZeroShot": METRICS_ROW}})},
+         "", "metrics.json: token_savings_percent must be an object of numbers"),
+        (["closure", "{dir}/bad.txt"], {"bad.txt": "Anne is not.\n"}, "",
+         "sentence 0: 'not' needs an attribute after it ('Anne is not')"),
+        (_ANSWER + _HTTP_ARGS + ["--config", "{dir}/config.json"],
+         {"config.json": '{"endpoint_url": "http://localhost:8000/v1/chat/completions"}'}, "",
+         "config file has unknown key(s): endpoint_url"),
+        (["eval", "{dir}/data.jsonl", "--method", "sketch", "--out", "{dir}/run"],
+         {"data.jsonl": _DUPLICATE_IDS}, "", "duplicate id 'r1' (first on line 1)"),
+    ], ids=("nan", "max-retries", "workers", "api-key", "metrics-row", "metrics-savings",
+            "bare-not", "unknown-key", "duplicate-id"))
+    def test_example_gives_quoted_message(self, tmp_path, capsys, monkeypatch, argv, files, key,
+                                          quoted) -> None:
+        monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
+        monkeypatch.setenv("PROOFSKETCH_API_KEY", key)
+        for name, content in {"theory.txt": THEORY_TEXT, **files}.items():
+            (tmp_path / name).write_text(content, encoding="utf-8")
+        status = main([arg.format(dir=tmp_path) for arg in argv])
+        if (tmp_path / "run").exists():
+            # A rejected dataset line does not end the run: rejects.jsonl names it.
+            assert status == 0
+            rejects = (tmp_path / "run" / "rejects.jsonl").read_text(encoding="utf-8")
+            assert [json.loads(line)["reason"] for line in rejects.splitlines()] == [quoted]
+        else:
+            assert status == 2
+            assert _error_line(capsys) == f"proofsketch: error: {quoted}"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        errors = readme.split("\n## Errors\n", 1)[1].split("\n## ", 1)[0]
+        assert f"`{quoted}`" in " ".join(errors.split())
 
 
 class TestAblateCommand:

@@ -478,10 +478,12 @@ class TestHttpGenerator:
         with pytest.raises(GeneratorError):
             _client(stub).generate(REQUEST)
 
-    def test_completions_text_field_accepted(self, stub) -> None:
+    def test_completions_text_field_rejected(self, stub) -> None:
+        # The legacy completions API's reply shape: this backend reads only
+        # choices[0].message.content, the chat API's.
         stub.plan(("ok", {"choices": [{"text": "plain completion"}]}))
-        response = _client(stub).generate(REQUEST)
-        assert response.text == "plain completion"
+        with pytest.raises(GeneratorError, match="^completion payload has no text content$"):
+            _client(stub).generate(REQUEST)
 
     def test_transport_failure_retried(self) -> None:
         # Nothing listens on this port; every attempt fails at connect.

@@ -78,6 +78,22 @@ class TestLoadDataset:
         assert "invalid JSON" in reasons
         assert "perhaps" in reasons
 
+    def test_repeated_id_rejected(self, tmp_path) -> None:
+        path = tmp_path / "data.jsonl"
+        line = {"id": "r1", "theory": "Anne is big.", "question": "Is Anne big?"}
+        _write_jsonl(path, [
+            dict(VALID_LINE, id="r1", answer="maybe"),  # rejected, so it claims no id
+            dict(line, answer="True"),
+            dict(line, answer="False"),
+            dict(VALID_LINE, id="r2"),
+            dict(line, answer="Unknown"),
+        ])
+        loaded = load_dataset(path)
+        assert [(r.record_id, r.gold_label) for r in loaded.records] == [
+            ("r1", Label.TRUE), ("r2", Label.TRUE)]
+        assert [(reject.line_number, reject.reason) for reject in loaded.rejects[1:]] == [
+            (3, "duplicate id 'r1' (first on line 2)"), (5, "duplicate id 'r1' (first on line 2)")]
+
     def test_undecodable_line_rejected_alone(self, tmp_path) -> None:
         path = tmp_path / "data.jsonl"
         rows = [json.dumps(dict(VALID_LINE, id=f"ex-{i}")).encode() for i in range(1, 6)]

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from proofsketch.theory import (EmptySymbolError, InconsistentFactsError, Label, Literal,
                                 ParseError, Polarity, Rule, SchemaError, Theory,
@@ -164,6 +164,23 @@ class TestNaturalLanguageParsing:
             ("green", Polarity.NEGATIVE),
         )
 
+    @pytest.mark.parametrize("sentence", [
+        "Anne is not",
+        "Anne is NOT",
+        "Anne is not not",
+        "If someone is not then they are kind",
+        "If someone is big and someone is not then they are kind",
+        "If someone is big and not then they are kind",
+        "If someone is big then they are not",
+        "All big things are not",
+    ], ids=("fact", "fact-upper", "fact-not-not", "first-condition", "later-condition",
+            "bare-condition", "if-conclusion", "all-conclusion"))
+    def test_not_needs_an_attribute(self, sentence: str) -> None:
+        with pytest.raises(ParseError) as excinfo:
+            parse_theory_nl(f"Bob is big. {sentence}.")
+        assert str(excinfo.value) == (
+            f"sentence 1: 'not' needs an attribute after it ({sentence!r})")
+
     def test_ground_rule_subject_echo(self) -> None:
         theory = parse_theory_nl("If Anne is big and Anne is smart then Anne is kind.")
         assert theory.rules == (
@@ -296,6 +313,43 @@ class TestStructuredParsing:
             parse_theory_structured(doc)
         assert fragment in str(excinfo.value)
 
+    @pytest.mark.parametrize("fact, rule, message", [
+        ({"entity": "if"}, None, "facts[0].entity: 'if' is a reserved word here"),
+        ({"entity": "All"}, None, "facts[0].entity: 'all' is a reserved word here"),
+        ({"attribute": "not"}, None, "facts[0].attribute: 'not' is a reserved word here"),
+        (None, {"subject": "someone"}, "rules[0].subject: 'someone' is a reserved word here"),
+        (None, {"subject": "Something"},
+         "rules[0].subject: 'something' is a reserved word here"),
+        (None, {"body": [{"attribute": "then", "negated": False}]},
+         "rules[0].body[0].attribute: 'then' is a reserved word here"),
+        (None, {"body": [{"attribute": "and", "negated": True}]},
+         "rules[0].body[0].attribute: 'and' is a reserved word here"),
+        (None, {"body": [{"attribute": "not", "negated": False}]},
+         "rules[0].body[0].attribute: 'not' is a reserved word here"),
+        (None, {"head": {"attribute": "not", "negated": True}},
+         "rules[0].head.attribute: 'not' is a reserved word here"),
+    ], ids=("fact-if", "fact-all", "fact-not", "subject-someone", "subject-something",
+            "condition-then", "condition-and", "condition-not", "head-not"))
+    def test_names_text_cannot_say_rejected(self, fact, rule, message) -> None:
+        doc = {"facts": [], "rules": []}
+        if fact is not None:
+            doc["facts"].append({"entity": "anne", "attribute": "big", "negated": False, **fact})
+        if rule is not None:
+            doc["rules"].append({"subject": "*", "body": [{"attribute": "big", "negated": False}],
+                                 "head": {"attribute": "kind", "negated": False}, **rule})
+        with pytest.raises(SchemaError) as excinfo:
+            parse_theory_structured(doc)
+        assert str(excinfo.value) == message
+
+    def test_reserved_words_allowed_elsewhere(self) -> None:
+        # Each reserved word is a plain name where the text reads it back.
+        doc = {"facts": [{"entity": "then", "attribute": "if", "negated": False},
+                         {"entity": "someone", "attribute": "and", "negated": True}],
+               "rules": [{"subject": "if", "body": [{"attribute": "all", "negated": False}],
+                          "head": {"attribute": "then", "negated": False}}]}
+        theory = parse_theory_structured(doc)
+        assert parse_theory_nl(theory.to_text()) == theory
+
     def test_inconsistent_facts_rejected(self) -> None:
         doc = {
             "facts": [
@@ -342,6 +396,32 @@ class TestRoundTrips:
             assert from_text == from_doc
 
 
+# Names for structured theories, grammar words among them, so that
+# to_text meets every word the sentence grammar reads specially.
+_NAMES = st.sampled_from(("anne", "bob", "big", "kind", "someone", "something", "they", "it",
+                          "if", "all", "then", "and", "not", "is", "are", "people", "things",
+                          "the", "*"))
+_CONDITIONS = st.fixed_dictionaries({"attribute": _NAMES, "negated": st.booleans()})
+_STRUCTURED_DOCS = st.fixed_dictionaries({
+    "facts": st.lists(st.fixed_dictionaries(
+        {"entity": _NAMES, "attribute": _NAMES, "negated": st.booleans()}), max_size=4),
+    "rules": st.lists(st.fixed_dictionaries(
+        {"subject": _NAMES, "body": st.lists(_CONDITIONS, min_size=1, max_size=3),
+         "head": _CONDITIONS}), max_size=3),
+})
+
+
+class TestTextOfStructuredTheories:
+    @settings(max_examples=300)
+    @given(_STRUCTURED_DOCS)
+    def test_text_reads_back_as_the_same_theory(self, doc) -> None:
+        try:
+            theory = parse_theory_structured(doc)
+        except (SchemaError, InconsistentFactsError):
+            return
+        assert parse_theory_nl(theory.to_text()) == theory
+
+
 class TestParseQuestion:
     def test_declarative_and_interrogative_agree(self) -> None:
         assert parse_question("Anne is kind.") == parse_question("Is Anne kind?")
@@ -360,6 +440,14 @@ class TestParseQuestion:
     @pytest.mark.parametrize("text", ["Who is kind?", "", "Is kind?", "Anne likes Bob."])
     def test_rejected_forms(self, text: str) -> None:
         with pytest.raises(ParseError):
+            parse_question(text)
+
+    @pytest.mark.parametrize("text", ["Is Anne not?", "Is Anne not not?", "Anne is not.",
+                                      "Anne is Not?"],
+                             ids=("interrogative", "interrogative-not-not", "declarative",
+                                  "declarative-upper"))
+    def test_not_needs_an_attribute(self, text: str) -> None:
+        with pytest.raises(ParseError, match="^'not' needs an attribute after it$"):
             parse_question(text)
 
     def test_label_from_text(self) -> None:
