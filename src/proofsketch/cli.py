@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 import zlib
 from dataclasses import asdict, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .closure import Closure, forward_chain
 from .generation import (PROMPT_VERSION, BASELINE_BUDGETS, EndpointError, Generator,
@@ -113,10 +114,12 @@ def _record_seed(base_seed: int, record_id: str) -> int:
     return (base_seed * 1_000_003) ^ zlib.crc32(record_id.encode("utf-8"))
 
 
+@contextlib.contextmanager
 def _generator_for(args: argparse.Namespace,
-                   config_doc: dict) -> Callable[[Closure, Question, int], Generator]:
+                   config_doc: dict) -> Iterator[Callable[[Closure, Question, int], Generator]]:
     """The --backend generator for (closure, question, oracle seed). The
-    scripted and http backends are one instance shared by every question."""
+    scripted and http backends are one instance shared by every question;
+    the http one closes its connections when the command is done."""
     if args.backend == "scripted":
         if not args.script:
             raise UsageError("--backend scripted requires --script <file>")
@@ -143,12 +146,16 @@ def _generator_for(args: argparse.Namespace,
         def make_oracle(closure: Closure, question: Question, seed: int) -> Generator:
             return OracleGenerator(closure, question, replace(noise, seed=seed))
 
-        return make_oracle
-    return lambda closure, question, seed: shared
+        yield make_oracle
+        return
+    try:
+        yield lambda closure, question, seed: shared
+    finally:
+        if isinstance(shared, HttpGenerator):
+            shared.close()
 
 
-def _make_generator_factory(args: argparse.Namespace, config_doc: dict):
-    make = _generator_for(args, config_doc)
+def _per_record(args: argparse.Namespace, make: Callable[[Closure, Question, int], Generator]):
     return lambda record: make(record.closure, record.question,
                                _record_seed(args.seed, record.record_id))
 
@@ -187,8 +194,8 @@ def _cmd_answer(args: argparse.Namespace) -> int:
     config_doc, config = _load_config(args.config)
     closure = forward_chain(_load_theory_file(args.theory_file))
     question = parse_question(args.question)
-    generator = _generator_for(args, config_doc)(closure, question, args.seed)
-    result = run_pipeline(closure, question, config, generator)
+    with _generator_for(args, config_doc) as make:
+        result = run_pipeline(closure, question, config, make(closure, question, args.seed))
     print(json.dumps(result.to_json_dict(), indent=2))
     return 0
 
@@ -211,8 +218,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     config_doc, config = _load_config(args.config)
     methods = _METHOD_CHOICES[args.method]
     loaded = load_dataset(args.dataset)
-    factory = _make_generator_factory(args, config_doc)
-    results = evaluate(loaded.records, methods, config, factory, workers=args.workers)
+    with _generator_for(args, config_doc) as make:
+        results = evaluate(loaded.records, methods, config, _per_record(args, make),
+                           workers=args.workers)
     report = compute_metrics(results)
     if args.out:
         write_run(
@@ -247,8 +255,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     config_doc, config = _load_config(args.config)
     budgets = _parse_budgets(args.budgets)
     loaded = load_dataset(args.dataset)
-    factory = _make_generator_factory(args, config_doc)
-    rows = run_ablation(loaded.records, budgets, config, factory, workers=args.workers)
+    with _generator_for(args, config_doc) as make:
+        rows = run_ablation(loaded.records, budgets, config, _per_record(args, make),
+                            workers=args.workers)
     csv_text = ablation_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")

@@ -17,9 +17,10 @@ it:
 
 A backend that a run shares across questions (scripted, http) is safe for
 concurrent calls; an oracle is built per question and never shared.
-HttpGenerator opens one http.client connection per attempt, verifies https
-with the default SSL context, and reads no proxy or .netrc settings. It
-adds no concurrency limit: the caller's thread count is the one bound.
+HttpGenerator keeps its http.client connections alive between calls and
+reuses them, verifies https with the default SSL context, and reads no
+proxy or .netrc settings. It adds no concurrency limit: the caller's
+thread count is the one bound, on calls in flight and on open connections.
 
 Token accounting for local backends is whitespace tokenization; the HTTP
 backend trusts the endpoint's usage.completion_tokens when it is a
@@ -303,10 +304,19 @@ class HttpGenerator:
     choices[0].message.content only.
 
     Transport failures and 5xx responses are retried with exponential
-    backoff plus jitter; 3xx and 4xx responses and deadline overruns fail
-    immediately. The API key is read from the named environment variable
-    at call time and never logged. Instances are safe to share across
-    threads; each calling thread has at most one request in flight.
+    backoff plus jitter; 3xx and 4xx responses fail immediately. timeout_ms
+    is one deadline per call, retries and backoff included: each attempt
+    waits only for what is left of it, and a backoff sleep that would pass
+    it ends the call at once with GenerationTimeout. The API key is read
+    from the named environment variable at call time and never logged.
+
+    Instances are safe to share across threads. Connections are kept alive
+    and reused, the most recently idle first. A calling thread holds one
+    connection at a time, so there are never more open connections than
+    concurrent calls. A connection is closed after a timeout, a transport
+    error or a reply that ends it; one the server closed while idle is
+    replaced at once, without a backoff sleep and without counting as a
+    retry. close() closes the idle connections.
     """
 
     def __init__(self, endpoint_url: str, model_name: str, *,
@@ -340,7 +350,9 @@ class HttpGenerator:
         self._max_retries = max_retries
         self._backoff_base_s = backoff_base_s
         self._backoff_jitter_s = backoff_jitter_s
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()
+        # Idle kept-alive connections, the one returned last on top.
+        self._idle: list[http.client.HTTPConnection] = []
         self.retries_total = 0
 
     def _headers(self) -> dict[str, str]:
@@ -378,28 +390,31 @@ class HttpGenerator:
         }).encode("utf-8")
         headers = self._headers()
         started = time.perf_counter()
+        deadline = started + self._timeout_s
+        overrun = f"no response within {self._timeout_s * 1000:.0f} ms"
         for attempt in range(self._max_retries + 1):
             if attempt:
-                with self._stats_lock:
-                    self.retries_total += 1
                 delay = self._backoff_base_s * (2 ** (attempt - 1))
                 delay += random.uniform(0.0, self._backoff_jitter_s)
+                if time.perf_counter() + delay >= deadline:
+                    raise GenerationTimeout(
+                        f"{overrun}; last attempt: {last_error}") from last_error
+                with self._lock:
+                    self.retries_total += 1
                 time.sleep(delay)
-            connection = self._connection_class(self._netloc, timeout=self._timeout_s)
+            with self._lock:
+                idle = self._idle.pop() if self._idle else None
             try:
-                connection.request("POST", self._path, body, headers)
-                with connection.getresponse() as response:
-                    status, data = response.status, response.read()
+                # None from a reused connection: the server closed it while idle.
+                reply = idle and self._exchange(idle, body, headers, deadline, reused=True)
+                status, data = reply or self._exchange(self._connection_class(self._netloc),
+                                                       body, headers, deadline, reused=False)
             except TimeoutError as exc:
-                raise GenerationTimeout(
-                    f"no response within {self._timeout_s * 1000:.0f} ms"
-                ) from exc
+                raise GenerationTimeout(overrun) from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_error = GeneratorError(f"transport failure: {exc}")
                 logger.debug("transport failure on attempt %d: %s", attempt + 1, exc)
                 continue
-            finally:
-                connection.close()
             if status >= 500:
                 last_error = GeneratorError(f"server error {status}", status_code=status)
                 logger.debug("server error %d on attempt %d", status, attempt + 1)
@@ -415,3 +430,48 @@ class HttpGenerator:
         assert last_error is not None
         raise last_error
 
+    def _exchange(self, connection: http.client.HTTPConnection, body: bytes,
+                  headers: dict[str, str], deadline: float, *,
+                  reused: bool) -> tuple[int, bytes] | None:
+        """Send the request on connection and read the whole reply, within
+        what is left of the deadline. The connection goes back on the idle
+        stack after a whole reply that leaves it open, and is closed after
+        anything else.
+
+        Returns None when a reused connection fails before any reply byte
+        arrives (RemoteDisconnected, a reset or a broken pipe): the server
+        closed it while it was idle, and the caller sends again at once on
+        a new connection.
+        """
+        pooled = False
+        try:
+            timeout = deadline - time.perf_counter()
+            if timeout <= 0:
+                raise TimeoutError
+            connection.timeout = timeout  # read at connect
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout)
+            try:
+                connection.request("POST", self._path, body, headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if reused:
+                    return None
+                raise
+            with response:
+                status, data = response.status, response.read()
+            pooled = not response.will_close
+            return status, data
+        finally:
+            if pooled:
+                with self._lock:
+                    self._idle.append(connection)
+            else:
+                connection.close()
+
+    def close(self) -> None:
+        """Close the idle connections. A call made later opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()

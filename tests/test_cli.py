@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import inspect
 import json
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -634,6 +636,31 @@ class TestAblateCommand:
         assert main(["ablate", str(dataset), "--budgets", "100,150"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert [line.split(",")[0] for line in lines[1:]] == ["100", "150", "adaptive"]
+
+
+class TestHttpConnections:
+    @pytest.mark.parametrize("command", [
+        ["answer", "{theory}", "--question", "Is Bob kind?"],
+        ["eval", "{dataset}", "--method", "all", "--workers", "2"],
+        ["ablate", "{dataset}", "--budgets", "10,20", "--workers", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_no_socket_outlives_its_command(self, command, theory_file, dataset,
+                                            monkeypatch) -> None:
+        monkeypatch.delenv("PROOFSKETCH_API_KEY", raising=False)
+        endpoint = _StubEndpoint()
+        try:
+            endpoint.plan(*[("ok", _ok_payload('{"answer": "Unknown", "claims": []}'))] * 200)
+            argv = [arg.format(theory=theory_file, dataset=dataset) for arg in command]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([*argv, "--backend", "http", "--endpoint", endpoint.url,
+                             "--model", "m"]) == 0
+                gc.collect()
+            assert endpoint.connections >= 1
+            endpoint.wait_closed()
+        finally:
+            endpoint.close()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 class TestBudgetSpecParsing:

@@ -1,18 +1,24 @@
 """Backend, prompt, budget, and HTTP-client tests.
 
 The HTTP tests run against a local stub endpoint speaking just enough of
-the chat-completions wire format, with a programmable action plan per
-request (respond, fail with a status, stall, or return non-JSON).
+the chat-completions wire format over HTTP/1.1 keep-alive, with a
+programmable action plan per request (respond, fail with a status, stall,
+return non-JSON, or end the connection) and a count of its connections.
 """
 
 from __future__ import annotations
 
+import http.client
 import http.server
+import importlib.util
 import json
 import re
+import socket
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -301,19 +307,39 @@ class TestOracleGenerator:
 
 
 class _StubEndpoint:
-    """Serves a scripted action per request: ok / status / sleep / garbage /
-    barrier (wait on a threading.Barrier, then ok, or 503 if it breaks)."""
+    """Serves a scripted action per request over HTTP/1.1 keep-alive:
+    ok / status (after an optional delay) / sleep / garbage / barrier (wait
+    on a threading.Barrier, then ok, or 503 if it breaks) / close (ok with
+    Connection: close) / drop (ok, then close the connection unannounced,
+    as a server does with an idle one). Counts the connections it accepted
+    and the ones that have since ended, and closes the clients made for it
+    by _client when it closes."""
 
     def __init__(self) -> None:
         self.actions: list[tuple] = []
         self.requests: list[dict] = []
+        self.clients: list[HttpGenerator] = []
+        self.connections = 0
+        self.closed = 0
         self._lock = threading.Lock()
 
         stub = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def log_message(self, *args) -> None:
                 pass
+
+            def setup(self) -> None:
+                super().setup()
+                with stub._lock:
+                    stub.connections += 1
+
+            def finish(self) -> None:
+                super().finish()
+                with stub._lock:
+                    stub.closed += 1
 
             def do_POST(self) -> None:
                 length = int(self.headers.get("Content-Length", "0"))
@@ -334,6 +360,8 @@ class _StubEndpoint:
                     time.sleep(action[1])
                     self._reply(200, json.dumps({"choices": []}).encode())
                 elif kind == "status":
+                    if len(action) > 2:
+                        time.sleep(action[2])
                     self._reply(action[1], b"")
                 elif kind == "garbage":
                     self._reply(200, b"this is not json")
@@ -345,15 +373,19 @@ class _StubEndpoint:
                     else:
                         self._reply(200, json.dumps(action[2]).encode())
                 else:
-                    self._reply(200, json.dumps(action[1]).encode())
+                    self._reply(200, json.dumps(action[1]).encode(), close=kind == "close")
+                    if kind == "drop":
+                        self.close_connection = True
 
-            def _reply(self, status: int, data: bytes) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                if data:
-                    self.wfile.write(data)
+            def _reply(self, status: int, data: bytes, close: bool = False) -> None:
+                # Status line, headers and body in one send: sent apart, a
+                # kept-alive client waits on a delayed ACK for the body.
+                head = (f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+                        f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+                        + ("Connection: close\r\n" if close else "") + "\r\n")
+                self.wfile.write(head.encode("ascii") + data)
+                if close:
+                    self.close_connection = True
 
         class Server(http.server.ThreadingHTTPServer):
             daemon_threads = True
@@ -373,7 +405,18 @@ class _StubEndpoint:
     def plan(self, *actions: tuple) -> None:
         self.actions.extend(actions)
 
+    def wait_closed(self, count: int | None = None) -> None:
+        """Wait up to 5 s until `count` connections (every one accepted,
+        by default) have ended, as the server sees it."""
+        deadline = time.monotonic() + 5.0
+        while self.closed < (self.connections if count is None else count):
+            if time.monotonic() > deadline:
+                raise AssertionError(f"{self.closed} of {self.connections} connections ended")
+            time.sleep(0.005)
+
     def close(self) -> None:
+        for client in self.clients:
+            client.close()
         self._server.shutdown()
         self._server.server_close()
 
@@ -395,7 +438,9 @@ def stub():
 def _client(stub_endpoint: _StubEndpoint, **kwargs) -> HttpGenerator:
     kwargs.setdefault("backoff_base_s", 0.01)
     kwargs.setdefault("backoff_jitter_s", 0.0)
-    return HttpGenerator(stub_endpoint.url, "test-model", **kwargs)
+    client = HttpGenerator(stub_endpoint.url, "test-model", **kwargs)
+    stub_endpoint.clients.append(client)
+    return client
 
 
 REQUEST = GenerationRequest(prompt="say hi", max_tokens=32, temperature=0.3)
@@ -598,3 +643,200 @@ class TestThreadSafety:
         assert not errors
         assert scripted.calls == 200
         assert sorted(texts) == sorted(script)
+
+
+class TestDeadline:
+    def test_deadline_covers_retries(self, stub) -> None:
+        # timeout_ms is one deadline per call: three 503s that take 100 ms
+        # each cannot stretch a 250 ms call to (max_retries + 1) attempts.
+        stub.plan(*[("status", 503, 0.1)] * 3)
+        client = _client(stub, timeout_ms=250, max_retries=5)
+        started = time.perf_counter()
+        with pytest.raises(GenerationTimeout, match="^no response within 250 ms"):
+            client.generate(REQUEST)
+        assert time.perf_counter() - started < 0.45
+
+    def test_backoff_past_deadline_ends_call(self, stub, monkeypatch) -> None:
+        stub.plan(("status", 503))
+        client = _client(stub, timeout_ms=500, max_retries=3, backoff_base_s=1.0)
+        monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("slept past the deadline"))
+        with pytest.raises(GenerationTimeout, match="^no response within 500 ms; "
+                                                    "last attempt: server error 503$") as excinfo:
+            client.generate(REQUEST)
+        assert excinfo.value.__cause__.status_code == 503
+        assert client.retries_total == 0
+        assert len(stub.requests) == 1
+
+
+def _generate_from_threads(client: HttpGenerator, count: int) -> list[object]:
+    results: list[object] = []
+
+    def call() -> None:
+        try:
+            results.append(client.generate(REQUEST).text)
+        except GeneratorError as exc:
+            results.append(exc)
+
+    threads = [threading.Thread(target=call) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+class TestKeepAlive:
+    def test_sequential_calls_share_one_connection(self, stub) -> None:
+        stub.plan(*[("ok", _ok_payload(f"reply {i}")) for i in range(5)])
+        client = _client(stub)
+        assert [client.generate(REQUEST).text for _ in range(5)] == [
+            f"reply {i}" for i in range(5)]
+        assert stub.connections == 1
+
+    def test_one_connection_per_concurrent_caller(self, stub) -> None:
+        # Twice, six calls that the stub answers only once all six are in
+        # flight: the second six reuse the first six's connections.
+        client = _client(stub, max_retries=0)
+        for _ in range(2):
+            barrier = threading.Barrier(6, timeout=3)
+            stub.plan(*[("barrier", barrier, _ok_payload("hi"))] * 6)
+            assert _generate_from_threads(client, 6) == ["hi"] * 6
+        assert stub.connections == 6
+
+    def test_server_closed_idle_connection_replaced_at_once(self, stub, monkeypatch) -> None:
+        stub.plan(("drop", _ok_payload("one")), ("ok", _ok_payload("two")),
+                  ("ok", _ok_payload("three")))
+        client = _client(stub, max_retries=0)
+        assert client.generate(REQUEST).text == "one"
+        stub.wait_closed(1)
+        # The resend on a new connection is no retry: no backoff sleep, and
+        # max_retries 0 does not turn the idle gap into a failed call.
+        monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
+        assert client.generate(REQUEST).text == "two"
+        assert client.generate(REQUEST).text == "three"
+        assert client.retries_total == 0
+        assert stub.connections == 2
+        assert len(stub.requests) == 3
+
+    def test_connection_dropped_after_timeout(self, stub) -> None:
+        stub.plan(("sleep", 0.5), ("ok", _ok_payload("two")), ("ok", _ok_payload("three")))
+        client = _client(stub, timeout_ms=250, max_retries=0)
+        with pytest.raises(GenerationTimeout):
+            client.generate(REQUEST)
+        # The late reply to the first call is never read as the second's.
+        assert client.generate(REQUEST).text == "two"
+        assert client.generate(REQUEST).text == "three"
+        assert stub.connections == 2
+
+    def test_connection_dropped_after_connection_close_reply(self, stub, monkeypatch) -> None:
+        connects: list[tuple] = []
+        create = socket.create_connection
+
+        def counted(*args, **kwargs):
+            connects.append(args)
+            return create(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counted)
+        stub.plan(("close", _ok_payload("one")))
+        client = HttpGenerator(stub.url, "test-model", max_retries=0)
+        assert client.generate(REQUEST).text == "one"
+        stub.close()  # nothing listens any more; the client is not closed
+        # The next call tries one new connection, and its failure is a
+        # transport failure, not a stale connection to send again on.
+        with pytest.raises(GeneratorError, match="^transport failure"):
+            client.generate(REQUEST)
+        assert len(connects) == 2
+
+    def test_reused_connection_waits_only_for_what_is_left(self, stub) -> None:
+        # A kept-alive socket keeps the timeout it was connected with unless
+        # each attempt sets what is left of the deadline on it.
+        stub.plan(("ok", _ok_payload("warm")), ("status", 503, 0.6), ("sleep", 2.0))
+        client = _client(stub, timeout_ms=1000, max_retries=1)
+        client.generate(REQUEST)
+        started = time.perf_counter()
+        with pytest.raises(GenerationTimeout):
+            client.generate(REQUEST)
+        assert time.perf_counter() - started < 1.3
+        assert stub.connections == 1
+
+    def test_close_closes_idle_connections(self, stub) -> None:
+        stub.plan(("ok", _ok_payload("one")), ("ok", _ok_payload("two")))
+        client = _client(stub)
+        client.generate(REQUEST)
+        assert stub.closed == 0
+        client.close()
+        stub.wait_closed(1)
+        # The instance stays usable: a later call opens a new connection.
+        assert client.generate(REQUEST).text == "two"
+        assert stub.connections == 2
+        client.close()
+        stub.wait_closed(2)
+
+    def test_shared_idle_stack_under_contention(self, stub) -> None:
+        # Eight threads, 25 calls each, on one client with a tiny switch
+        # interval: no connection is lost from the idle stack or handed to
+        # two calls at once, so every reply is whole and close() ends them all.
+        texts = [f"reply {i}" for i in range(200)]
+        stub.plan(*[("ok", _ok_payload(text)) for text in texts])
+        client = _client(stub, max_retries=0)
+        results: list[object] = []
+
+        def hammer() -> None:
+            for _ in range(25):
+                try:
+                    results.append(client.generate(REQUEST).text)
+                except GeneratorError as exc:  # pragma: no cover - failure path
+                    results.append(exc)
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results, key=str) == sorted(texts)
+        assert 1 <= stub.connections <= 8
+        client.close()
+        stub.wait_closed()
+
+    def test_bench_stub_sees_one_connection(self, monkeypatch) -> None:
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        name = "proofsketch_bench_corpus"
+        spec = importlib.util.spec_from_file_location(name, bench / "corpus.py")
+        corpus = importlib.util.module_from_spec(spec)
+        # Registered before exec_module: its dataclasses look their module up.
+        monkeypatch.setitem(sys.modules, name, corpus)
+        spec.loader.exec_module(corpus)
+        theory, question = "Anne is big.", "Is Anne big?"
+        prompt = f"STATEMENTS:\n{theory}\n\nQUESTION:\n{question}\n\nReply.\n"
+        replies = [f"reply {i}" for i in range(5)]
+        stub = subprocess.Popen([sys.executable, str(bench / "stub.py")], stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            port = int(stub.stdout.readline())
+
+            def control(path: str, payload: dict | None = None) -> dict:
+                connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                try:
+                    connection.request("POST" if payload is not None else "GET", path,
+                                       json.dumps(payload) if payload is not None else None)
+                    return json.loads(connection.getresponse().read())
+                finally:
+                    connection.close()
+
+            control("/load", {corpus.stub_key(theory, question): replies})
+            client = HttpGenerator(f"http://127.0.0.1:{port}/v1/chat/completions", "stub")
+            request = GenerationRequest(prompt=prompt, max_tokens=32)
+            assert [client.generate(request).text for _ in range(5)] == replies
+            client.close()
+            assert control("/stats") == {"connections": 1, "requests": 5, "unknown_prompts": 0}
+        finally:
+            stub.stdin.close()
+            stub.wait(timeout=10)
+            stub.stdout.close()
