@@ -49,6 +49,11 @@ _CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
 }
 
 
+# How many theory texts `answer` keeps the closure of, dropping the least
+# recently used: a process that answers several questions about one
+# theory parses and closes it once.
+_CLOSURE_CACHE_SIZE = 8
+
 # The largest --workers: the thread pool starts a thread for each pair
 # submitted, up to this many, so an unbounded value could start thousands.
 _MAX_WORKERS = 64
@@ -70,20 +75,45 @@ def _read_text(path: str | Path) -> str:
         raise UsageError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
 
 
-def _read_json(path: str | Path):
-    text = _read_text(path)
+@contextlib.contextmanager
+def _json_errors(path: str | Path) -> Iterator[None]:
+    """Turn a JSON decoding failure inside the block into a UsageError naming path."""
     try:
-        return json.loads(text)
+        yield
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise UsageError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
+def _read_json(path: str | Path):
+    text = _read_text(path)
+    with _json_errors(path):
+        return json.loads(text)
+
+
+def _parse_theory(text: str, structured: bool):
+    return parse_theory_structured(json.loads(text)) if structured else parse_theory_nl(text)
+
+
 def _load_theory_file(path: str):
-    if path.endswith(".json"):
-        return parse_theory_structured(_read_json(path))
-    return parse_theory_nl(_read_text(path))
+    text = _read_text(path)
+    with _json_errors(path):
+        return _parse_theory(text, path.endswith(".json"))
+
+
+@functools.lru_cache(maxsize=_CLOSURE_CACHE_SIZE)
+def _closure_of(text: str, structured: bool) -> Closure:
+    """The closure of a theory file's text, for `answer`. A Closure is
+    read-only, so every answer about the same text may share one; a text
+    that fails to parse raises on every call, as nothing is cached then."""
+    return forward_chain(_parse_theory(text, structured))
+
+
+def _load_closure(path: str) -> Closure:
+    text = _read_text(path)
+    with _json_errors(path):
+        return _closure_of(text, path.endswith(".json"))
 
 
 def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
@@ -192,7 +222,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_answer(args: argparse.Namespace) -> int:
     config_doc, config = _load_config(args.config)
-    closure = forward_chain(_load_theory_file(args.theory_file))
+    closure = _load_closure(args.theory_file)
     question = parse_question(args.question)
     with _generator_for(args, config_doc) as make:
         result = run_pipeline(closure, question, config, make(closure, question, args.seed))

@@ -36,7 +36,6 @@ changing any of it so run configuration stamps stay comparable.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import os
@@ -325,6 +324,8 @@ class HttpGenerator:
                  max_retries: int = 2,
                  backoff_base_s: float = 0.25,
                  backoff_jitter_s: float = 0.1) -> None:
+        import http.client  # here, so that only the http backend loads it (and ssl)
+
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if not 0 < timeout_ms <= sys.float_info.max:
@@ -381,6 +382,8 @@ class HttpGenerator:
         return GenerationResponse(text=text, completion_tokens=tokens, latency_ms=latency_ms)
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
+        import http.client  # loaded by __init__; this binds the name
+
         last_error: GeneratorError | None = None
         body = json.dumps({
             "model": self._model_name,

@@ -25,7 +25,6 @@ import json
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -257,6 +256,8 @@ def evaluate(records: Sequence[DatasetRecord], methods: Sequence[Method],
     pairs = [(method, record) for method in methods for record in records]
     if workers == 1:
         return list(map(run_one, pairs))
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that uses it
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, pairs))
 

@@ -39,6 +39,8 @@ subject 'someone' or 'something' (it reads as every entity), or 'then' or
 
 All symbols pass through one canonicalizer, so "Anne", " anne " and
 "Anne." name the same entity, and "the bald eagle" becomes "bald-eagle".
+The canonicalizer is memoized: it keeps the canonical forms of the last
+_SYMBOL_CACHE_SIZE distinct raw strings it was given.
 The parsers are the only place text becomes a symbol, so Literal and Rule
 take their names as given.
 
@@ -48,6 +50,7 @@ a fact asserted together with its negation is rejected at construction.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,6 +60,10 @@ _ARTICLES = ("the", "a", "an")
 _WS_RE = re.compile(r"\s+")
 _DISALLOWED_RE = re.compile(r"[^a-z0-9 \-]")
 _HYPHEN_RUN_RE = re.compile(r"-{2,}")
+# Raw strings whose canonical form canonicalize_symbol keeps: a theory
+# repeats its few symbols in every sentence, and questions and sketch
+# claims repeat them again.
+_SYMBOL_CACHE_SIZE = 4096
 
 _FACT_RE = re.compile(r"^(?P<subj>.+?)\s+is\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE)
 _IF_RE = re.compile(r"^if\s+(?P<body>.+?)\s+then\s+(?P<head>.+)$", re.IGNORECASE)
@@ -106,6 +113,7 @@ class SchemaError(ValueError):
     mis-typing a field."""
 
 
+@functools.lru_cache(maxsize=_SYMBOL_CACHE_SIZE)
 def canonicalize_symbol(raw: str) -> str:
     """Normalize an entity or attribute name to its canonical form.
 
@@ -114,7 +122,7 @@ def canonicalize_symbol(raw: str) -> str:
     hyphens. Hyphens at either end of a word go before the article check,
     so "A-" is the article "a" and leaves nothing. Idempotent: canonical
     output passes through unchanged. Raises EmptySymbolError when nothing
-    survives.
+    survives; an error is raised afresh on every call, never cached.
     """
     text = _DISALLOWED_RE.sub("", _WS_RE.sub(" ", raw.lower()))
     words = [word for word in (part.strip("-") for part in text.split(" ")) if word]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import inspect
+import io
 import json
 import os
 import re
@@ -452,12 +453,13 @@ class TestUserErrors:
 
     @pytest.mark.parametrize("command, name", [
         (["closure", "{path}"], "theory.json"),
+        (["answer", "{path}", "--question", "Is Bob kind?"], "theory.json"),
         (["answer", "{theory}", "--question", "Is Bob kind?", "--config", "{path}"],
          "config.json"),
         (["answer", "{theory}", "--question", "Is Bob kind?", "--backend", "scripted",
           "--script", "{path}"], "script.json"),
         (["report", "{dir}"], "metrics.json"),
-    ], ids=("theory-json", "config", "script", "metrics"))
+    ], ids=("theory-json", "answer-theory-json", "config", "script", "metrics"))
     @pytest.mark.parametrize("content, reason", [
         ("[" * 200_000, "nested too deeply"),
         ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
@@ -732,10 +734,141 @@ class TestSingleProducer:
         assert len(records) == 4 * len(rows)
 
     def test_answer_closes_once(self, theory_file, capsys, monkeypatch) -> None:
+        # Other tests answer about the same text, and the process keeps its closure.
+        cli._closure_of.cache_clear()
         closures = _count_calls(monkeypatch, forward_chain)
-        assert main(["answer", str(theory_file), "--question", "Is Bob kind?"]) == 0
+        argv = ["answer", str(theory_file), "--question", "Is Bob kind?"]
+        assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["generator_calls"] == 1
         assert len(closures) == 1
+        # The same text again: the closure is reused.
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(closures) == 1
+        # The file rewritten: its new text is closed once.
+        theory_file.write_text(THEORY_TEXT + "Bob is big.\n", encoding="utf-8")
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["answer"] == "True"
+        assert len(closures) == 2
+        assert closures[1].source_text.endswith("Bob is big.\n")
+
+
+class _ThreadStdout(io.TextIOBase):
+    """Stands in for sys.stdout: each thread writes to its own buffer."""
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        if not hasattr(self._local, "parts"):
+            self._local.parts = []
+        self._local.parts.append(text)
+        return len(text)
+
+    def take(self) -> str:
+        text = "".join(getattr(self._local, "parts", []))
+        self._local.parts = []
+        return text
+
+
+def _without_latency(output: str) -> dict:
+    payload = json.loads(output)
+    payload.pop("latency_ms")
+    return payload
+
+
+class TestClosureCache:
+    """`answer` keeps the closure of each theory text it has read; every
+    result must be what the same command prints with nothing cached."""
+
+    STRUCTURED = {
+        "facts": [{"entity": "anne", "attribute": "big", "negated": False},
+                  {"entity": "bob", "attribute": "round", "negated": False}],
+        "rules": [{"subject": "*", "body": [{"attribute": "big", "negated": False}],
+                   "head": {"attribute": "kind", "negated": False}}],
+    }
+    QUESTIONS = ("Is Anne kind?", "Is Bob kind?", "Is Bob not round?", "Is Carol big?")
+
+    @pytest.fixture()
+    def argvs(self, theory_file, tmp_path, request) -> list[list[str]]:
+        structured = tmp_path / "example.json"
+        structured.write_text(json.dumps(self.STRUCTURED), encoding="utf-8")
+        if request.param == "oracle":
+            backend = ["--flip", "0.3", "--corrupt", "0.3", "--malform", "0.2"]
+            seeds = range(3)
+        else:
+            script = tmp_path / "script.json"
+            script.write_text(json.dumps(['{"answer": "Unknown", "claims": ["bob is round"]}',
+                                          "not a sketch", '{"answer": "True"}']),
+                              encoding="utf-8")
+            backend = ["--backend", "scripted", "--script", str(script)]
+            seeds = range(1)
+        return [["answer", str(path), "--question", question, "--seed", str(seed), *backend]
+                for path in (theory_file, structured) for question in self.QUESTIONS
+                for seed in seeds]
+
+    @pytest.mark.parametrize("argvs", ["oracle", "scripted"], indirect=True)
+    def test_repeats_print_what_uncached_calls_print(self, argvs, capsys) -> None:
+        def answer(argv: list[str]) -> dict:
+            assert main(argv) == 0
+            return _without_latency(capsys.readouterr().out)
+
+        uncached = []
+        for argv in argvs:
+            cli._closure_of.cache_clear()
+            uncached.append(answer(argv))
+        cli._closure_of.cache_clear()
+        for _ in range(2):
+            assert [answer(argv) for argv in argvs] == uncached
+        assert cli._closure_of.cache_info().hits == 2 * len(argvs) - 2
+
+    def test_parse_error_on_every_call(self, tmp_path, capsys) -> None:
+        bad = tmp_path / "bad.txt"
+        bad.write_text("Anne is big. Anne is.\n", encoding="utf-8")
+        truncated = tmp_path / "bad.json"
+        truncated.write_text("{", encoding="utf-8")
+        for _ in range(3):
+            assert main(["answer", str(bad), "--question", "Is Anne big?"]) == 2
+            assert "sentence 1" in _error_line(capsys)
+            assert main(["answer", str(truncated), "--question", "Is Anne big?"]) == 2
+            assert f"{truncated}: invalid JSON" in _error_line(capsys)
+
+    def test_format_is_part_of_the_key(self, tmp_path, capsys) -> None:
+        text = json.dumps(self.STRUCTURED)
+        structured, plain = tmp_path / "theory.json", tmp_path / "theory.txt"
+        structured.write_text(text, encoding="utf-8")
+        plain.write_text(text, encoding="utf-8")
+        assert main(["answer", str(structured), "--question", "Is Anne kind?"]) == 0
+        assert json.loads(capsys.readouterr().out)["answer"] == "True"
+        # The same text read as sentences does not parse.
+        assert main(["answer", str(plain), "--question", "Is Anne kind?"]) == 2
+        _error_line(capsys)
+
+    def test_threads_match_serial(self, theory_file, monkeypatch) -> None:
+        argvs = [["answer", str(theory_file), "--question", question, "--seed", str(seed),
+                  "--flip", "0.3", "--malform", "0.2"]
+                 for question in self.QUESTIONS for seed in range(8)]
+        stdout = _ThreadStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+
+        def answer(argv: list[str]) -> dict:
+            assert main(argv) == 0
+            return _without_latency(stdout.take())
+
+        cli._closure_of.cache_clear()
+        serial = [answer(argv) for argv in argvs]
+        cli._closure_of.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(answer, argvs * 3, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 3
 
 
 class TestSharedParser:
@@ -810,6 +943,19 @@ def test_runtime_imports_only_stdlib() -> None:
     new = set(completed.stdout.split())
     assert "proofsketch" in new
     assert new - {"proofsketch"} <= sys.stdlib_module_names
+
+
+def test_loading_a_dataset_starts_no_transport_or_pool(dataset) -> None:
+    # Only the http backend needs http.client, and only --workers above 1 a
+    # thread pool; diffed against a snapshot as above.
+    code = ("import sys; before = set(sys.modules); import proofsketch; "
+            f"proofsketch.load_dataset({str(dataset)!r}); import proofsketch.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    completed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, timeout=60, env=_subprocess_env())
+    new = set(completed.stdout.split())
+    assert {"proofsketch.harness", "proofsketch.cli"} <= new
+    assert not new & {"http.client", "concurrent.futures"}
 
 
 def test_closed_stdout_exits_quietly(theory_file) -> None:

@@ -52,6 +52,19 @@ class TestCanonicalizeSymbol:
         assert canonicalize_symbol(once) == once
 
     @given(st.text(max_size=40))
+    def test_memoized_matches_uncached(self, raw: str) -> None:
+        def outcome(canonicalize) -> object:
+            try:
+                return canonicalize(raw)
+            except Exception as exc:  # noqa: BLE001 - the error is the outcome
+                return type(exc), str(exc)
+
+        expected = outcome(canonicalize_symbol.__wrapped__)
+        # The first call may fill the cache and the second reads it.
+        assert outcome(canonicalize_symbol) == expected
+        assert outcome(canonicalize_symbol) == expected
+
+    @given(st.text(max_size=40))
     def test_output_alphabet(self, raw: str) -> None:
         try:
             result = canonicalize_symbol(raw)
