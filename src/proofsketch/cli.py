@@ -9,13 +9,13 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import asdict, fields as dataclass_fields, replace
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from .closure import Closure, forward_chain
-from .generation import (PROMPT_VERSION, BASELINE_BUDGETS, EndpointError, Generator,
-                         GeneratorError, HttpGenerator, Method, OracleGenerator,
+from .generation import (PROMPT_VERSION, BASELINE_BUDGETS, EndpointError, GenerationResponse,
+                         Generator, GeneratorError, HttpGenerator, Method, OracleGenerator,
                          OracleNoiseConfig, ScriptedGenerator)
 from .harness import (EmptyDatasetError, MetricsReport, ablation_csv, compute_metrics,
                       emit_report, evaluate, load_dataset, run_ablation, write_run)
@@ -144,12 +144,16 @@ def _record_seed(base_seed: int, record_id: str) -> int:
     return (base_seed * 1_000_003) ^ zlib.crc32(record_id.encode("utf-8"))
 
 
+GeneratorMaker = Callable[[Closure, Question, int, Hashable], Generator]
+
+
 @contextlib.contextmanager
-def _generator_for(args: argparse.Namespace,
-                   config_doc: dict) -> Iterator[Callable[[Closure, Question, int], Generator]]:
-    """The --backend generator for (closure, question, oracle seed). The
-    scripted and http backends are one instance shared by every question;
-    the http one closes its connections when the command is done."""
+def _generator_for(args: argparse.Namespace, config_doc: dict) -> Iterator[GeneratorMaker]:
+    """The --backend generator for (closure, question, oracle seed, record
+    id). The scripted and http backends are one instance shared by every
+    question; the http one closes its connections when the command is done.
+    The oracle backend is one cursor per call, and the cursors of one
+    record id share its first reply for the life of the command."""
     if args.backend == "scripted":
         if not args.script:
             raise UsageError("--backend scripted requires --script <file>")
@@ -167,27 +171,35 @@ def _generator_for(args: argparse.Namespace,
             prefix = "" if isinstance(exc, EndpointError) else "config file: "
             raise UsageError(f"{prefix}{exc}") from exc
     else:
+        # The noise knobs, checked once here; each record adds its own seed.
+        seeded_noise = functools.partial(OracleNoiseConfig, flip_answer_prob=args.flip,
+                                         corrupt_claim_prob=args.corrupt,
+                                         malform_prob=args.malform)
         try:
-            noise = OracleNoiseConfig(flip_answer_prob=args.flip, corrupt_claim_prob=args.corrupt,
-                                      malform_prob=args.malform)
+            seeded_noise()
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        # A record's stream depends only on its closure, question and seed,
+        # which its id fixes within one command.
+        first_replies: dict[Hashable, GenerationResponse] = {}
 
-        def make_oracle(closure: Closure, question: Question, seed: int) -> Generator:
-            return OracleGenerator(closure, question, replace(noise, seed=seed))
+        def make_oracle(closure: Closure, question: Question, seed: int,
+                        record_id: Hashable) -> Generator:
+            return OracleGenerator(closure, question, seeded_noise(seed=seed),
+                                   first_replies=first_replies, key=record_id)
 
         yield make_oracle
         return
     try:
-        yield lambda closure, question, seed: shared
+        yield lambda closure, question, seed, record_id: shared
     finally:
         if isinstance(shared, HttpGenerator):
             shared.close()
 
 
-def _per_record(args: argparse.Namespace, make: Callable[[Closure, Question, int], Generator]):
+def _per_record(args: argparse.Namespace, make: GeneratorMaker):
     return lambda record: make(record.closure, record.question,
-                               _record_seed(args.seed, record.record_id))
+                               _record_seed(args.seed, record.record_id), record.record_id)
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
@@ -225,7 +237,8 @@ def _cmd_answer(args: argparse.Namespace) -> int:
     closure = _load_closure(args.theory_file)
     question = parse_question(args.question)
     with _generator_for(args, config_doc) as make:
-        result = run_pipeline(closure, question, config, make(closure, question, args.seed))
+        result = run_pipeline(closure, question, config,
+                              make(closure, question, args.seed, None))
     print(json.dumps(result.to_json_dict(), indent=2))
     return 0
 

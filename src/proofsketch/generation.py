@@ -16,7 +16,9 @@ it:
     HttpGenerator      OpenAI-style chat-completions endpoint over HTTP
 
 A backend that a run shares across questions (scripted, http) is safe for
-concurrent calls; an oracle is built per question and never shared.
+concurrent calls. An oracle is one cursor per (method, record) pair, never
+shared across threads; the cursors of one record share only its first
+reply, through a dict that is safe for concurrent draws.
 HttpGenerator keeps its http.client connections alive between calls and
 reuses them, verifies https with the default SSL context, and reads no
 proxy or .netrc settings. It adds no concurrency limit: the caller's
@@ -46,11 +48,11 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import Hashable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .closure import Closure, decide_from_closure, verified_literals
-from .theory import Label, Literal, Question, Theory
+from .theory import Label, Question, Theory
 
 logger = logging.getLogger(__name__)
 
@@ -144,7 +146,7 @@ class GenerationRequest:
             raise ValueError("temperature must be a finite non-negative number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationResponse:
     text: str
     completion_tokens: int
@@ -260,20 +262,53 @@ class OracleGenerator:
     the first 3 of the queried entity's verified_literals, so it is
     certifiable whenever any sketch could be. The noise draws happen in a
     fixed order per call (malform, answer flip, then one corruption draw
-    per claim), so equal seeds give byte-identical output streams.
-    Each instance serves one (closure, question) pair and no caller
-    shares it across threads, so its RNG needs no lock.
+    per claim), so equal seeds give byte-identical output streams. The
+    request is never read: the stream depends only on the closure, the
+    question and the noise. The label and claims are read off the closure
+    at the first draw, so a generator that is never called does no work.
+
+    Generators whose streams are equal may share their first reply through
+    first_replies, a dict that holds it under key; callers give equal keys
+    only to equal (closure, question, noise). The first generator of a key
+    to draw stores its first reply there, and the others return it. One of
+    those that asks for a second reply seeds its own RNG and replays the
+    first draw, so the dict holds one reply per key and no RNG. Threads may
+    share the dict: two that draw one key's first reply at once store equal
+    replies, and setdefault keeps one. A generator itself is one cursor that
+    no caller shares across threads, so its RNG needs no lock.
     """
 
     def __init__(self, closure: Closure, question: Question,
-                 noise: OracleNoiseConfig | None = None) -> None:
+                 noise: OracleNoiseConfig | None = None, *,
+                 first_replies: dict[Hashable, GenerationResponse] | None = None,
+                 key: Hashable = None) -> None:
+        self._closure = closure
+        self._question = question
         self._noise = noise or OracleNoiseConfig()
-        self._rng = random.Random(self._noise.seed)
-        self._label = decide_from_closure(closure, question)
-        self._claims: tuple[Literal, ...] = tuple(
-            verified_literals(closure, question.target.entity)[:3])
+        self._first_replies = first_replies
+        self._key = key
+        self._drawn = 0  # replies returned, drawn here or shared
+        self._rng: random.Random | None = None
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
+        self._drawn += 1
+        shared = self._first_replies
+        if self._drawn == 1 and shared is not None:
+            reply = shared.get(self._key)
+            return reply if reply is not None else shared.setdefault(self._key, self._draw())
+        return self._draw()
+
+    def _draw(self) -> GenerationResponse:
+        if self._rng is None:
+            closure, question = self._closure, self._question
+            self._rng = random.Random(self._noise.seed)
+            self._label = decide_from_closure(closure, question)
+            self._claims = tuple(verified_literals(closure, question.target.entity)[:3])
+            for _ in range(self._drawn - 1):  # replay the replies shared with this one
+                self._next_reply()
+        return self._next_reply()
+
+    def _next_reply(self) -> GenerationResponse:
         rng = self._rng
         noise = self._noise
         if rng.random() < noise.malform_prob:

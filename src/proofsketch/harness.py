@@ -449,9 +449,11 @@ def write_run(out_dir: str | Path, *, config_stamp: dict,
     (out / "config.json").write_text(
         json.dumps(config_stamp, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    # One encoder for every row: json.dumps would build a new one per call.
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(out / "records.jsonl", "w", encoding="utf-8") as handle:
         for record in eval_records:
-            handle.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+            handle.write(encode(record.to_json_dict()) + "\n")
     (out / "metrics.json").write_text(emit_report(report, "json"), encoding="utf-8")
     with open(out / "rejects.jsonl", "w", encoding="utf-8") as handle:
         for reject in rejects:

@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,13 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from proofsketch import cli
+from proofsketch import cli, generation
 from proofsketch.cli import UsageError, _parse_budgets, _record_seed, build_parser, main
-from proofsketch.closure import forward_chain
-from proofsketch.generation import HttpGenerator
+from proofsketch.closure import decide_from_closure, forward_chain
+from proofsketch.generation import HttpGenerator, OracleGenerator, OracleNoiseConfig
+from proofsketch.harness import DatasetRecord, ablation_csv, load_dataset, run_ablation
 from proofsketch.selector import PipelineConfig
 from proofsketch.theory import parse_theory_nl
 
+from helpers import random_question, random_theory
 from test_generation import _StubEndpoint, _ok_payload
 
 THEORY_TEXT = "Anne is big. Bob is round. If someone is big then they are kind.\n"
@@ -348,6 +351,20 @@ class TestEvalCommand:
 
         assert stripped_records(dirs[0]) == stripped_records(dirs[1])
 
+    def test_oracle_workers_match_one_worker(self, dataset, tmp_path, capsys) -> None:
+        # Noisy enough that pairs ask for second replies while other
+        # threads draw the same record's first one.
+        noise = ["--flip", "0.4", "--corrupt", "0.4", "--malform", "0.4", "--seed", "3"]
+        texts = []
+        for workers in ("1", "8"):
+            out_dir = tmp_path / f"run-{workers}"
+            assert main(["eval", str(dataset), "--method", "all", "--workers", workers,
+                         "--out", str(out_dir), *noise]) == 0
+            texts.append(re.sub(r'"latency_ms": [-0-9.eE+]+', '"latency_ms": _',
+                                (out_dir / "records.jsonl").read_text(encoding="utf-8")))
+        assert texts[0] == texts[1]
+        assert '"generator_calls": 2' in texts[0]
+
 
 class TestUserErrors:
     def test_missing_theory_file(self, tmp_path, capsys) -> None:
@@ -639,6 +656,29 @@ class TestAblateCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert [line.split(",")[0] for line in lines[1:]] == ["100", "150", "adaptive"]
 
+    def test_csv_matches_a_fresh_oracle_per_pair(self, tmp_path, capsys) -> None:
+        rng = random.Random(5)
+        rows = []
+        for index in range(12):
+            theory = random_theory(rng, max_rules=5)
+            question = random_question(rng, theory)
+            label = decide_from_closure(forward_chain(theory), question)
+            rows.append({"id": f"a-{index}", "theory": theory.to_text(),
+                         "question": question.raw_text, "answer": label.value})
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out_csv = tmp_path / "ablation.csv"
+        assert main(["ablate", str(path), "--budgets", "4,8,16", "--seed", "2", "--flip", "0.3",
+                     "--corrupt", "0.4", "--malform", "0.3", "--out", str(out_csv)]) == 0
+
+        def fresh_oracle(record: DatasetRecord) -> OracleGenerator:
+            noise = OracleNoiseConfig(0.3, 0.4, 0.3, seed=_record_seed(2, record.record_id))
+            return OracleGenerator(record.closure, record.question, noise)
+
+        expected = run_ablation(load_dataset(path).records, [4, 8, 16], PipelineConfig(),
+                                fresh_oracle)
+        assert out_csv.read_text(encoding="utf-8") == ablation_csv(expected)
+
 
 class TestHttpConnections:
     @pytest.mark.parametrize("command", [
@@ -751,6 +791,45 @@ class TestSingleProducer:
         assert json.loads(capsys.readouterr().out)["answer"] == "True"
         assert len(closures) == 2
         assert closures[1].source_text.endswith("Bob is big.\n")
+
+    def _oracle_decisions(self, monkeypatch) -> list:
+        """The questions the oracle backend reads a label for: one per
+        cursor that draws a reply itself."""
+        calls: list = []
+        original = generation.decide_from_closure
+
+        def counted(closure, question):
+            calls.append(question.raw_text)
+            return original(closure, question)
+
+        monkeypatch.setattr(generation, "decide_from_closure", counted)
+        return calls
+
+    def test_eval_draws_each_first_reply_once(self, dataset, tmp_path, capsys,
+                                              monkeypatch) -> None:
+        decisions = self._oracle_decisions(monkeypatch)
+        assert main(["eval", str(dataset), "--method", "all", "--out", str(tmp_path / "run")]) == 0
+        # Noise zero: no ProofSketch pair asks for a second reply.
+        assert sorted(decisions) == sorted(row["question"] for row in DATASET_ROWS)
+        rows = [json.loads(line)
+                for line in (tmp_path / "run" / "records.jsonl").read_text().splitlines()]
+        assert sum(row["generator_calls"] for row in rows) == 3 * len(DATASET_ROWS) + 1
+
+    def test_closure_decided_eval_makes_no_oracle_work(self, tmp_path, capsys,
+                                                       monkeypatch) -> None:
+        decided = [row for row in DATASET_ROWS if row["answer"] != "Unknown"]
+        path = tmp_path / "decided.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in decided), encoding="utf-8")
+        decisions = self._oracle_decisions(monkeypatch)
+        assert main(["eval", str(path), "--method", "sketch", "--flip", "0.5"]) == 0
+        assert decisions == []
+
+    def test_decided_answer_makes_no_oracle_work(self, theory_file, capsys,
+                                                 monkeypatch) -> None:
+        decisions = self._oracle_decisions(monkeypatch)
+        assert main(["answer", str(theory_file), "--question", "Is Anne kind?"]) == 0
+        assert json.loads(capsys.readouterr().out)["generator_calls"] == 0
+        assert decisions == []
 
 
 class _ThreadStdout(io.TextIOBase):

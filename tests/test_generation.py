@@ -12,16 +12,20 @@ import http.client
 import http.server
 import importlib.util
 import json
+import random
 import re
 import socket
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from proofsketch import generation
 from proofsketch.theory import Label, parse_question, parse_theory_nl
 from proofsketch.closure import forward_chain
 from proofsketch.sketch import ParseStatus, parse_sketch
@@ -32,6 +36,8 @@ from proofsketch.generation import (BASELINE_BUDGETS, EndpointError, GenerationR
                                     build_sketch_prompt, count_tokens, request_sketch,
                                     truncate_to_tokens)
 from proofsketch.selector import PipelineConfig, select_budget
+
+from helpers import random_question, random_theory
 
 THEORY = parse_theory_nl(
     "Anne is big. Bob is round. If someone is big then they are kind."
@@ -300,6 +306,80 @@ class TestOracleGenerator:
             OracleNoiseConfig(flip_answer_prob=1.5)
         with pytest.raises(ValueError):
             OracleNoiseConfig(corrupt_claim_prob=-0.1)
+
+
+_PROBABILITIES = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+
+
+class TestSharedFirstReply:
+    """Oracle cursors that share a record's first reply through
+    first_replies must read the stream of a fresh, unshared oracle: the
+    unshared one is the twin the sharing is checked against."""
+
+    REQUEST = GenerationRequest(prompt="p", max_tokens=200)
+
+    @given(theory_seed=st.integers(0, 2**32), noise_seed=st.integers(0, 2**32),
+           flip=_PROBABILITIES, corrupt=_PROBABILITIES, malform=_PROBABILITIES,
+           reads=st.lists(st.integers(0, 3), max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_cursors_read_the_unshared_stream(self, theory_seed: int, noise_seed: int,
+                                              flip: float, corrupt: float, malform: float,
+                                              reads: list[int]) -> None:
+        rng = random.Random(theory_seed)
+        theory = random_theory(rng, max_rules=6)
+        question = random_question(rng, theory)
+        closure = forward_chain(theory)
+        noise = OracleNoiseConfig(flip, corrupt, malform, seed=noise_seed)
+        twin = OracleGenerator(closure, question, noise)
+        expected = [twin.generate(self.REQUEST) for _ in range(5)]
+
+        first_replies: dict = {}
+        cursors = [OracleGenerator(closure, question, noise, first_replies=first_replies,
+                                   key="record") for _ in range(4)]
+        streams: list[list] = [[] for _ in cursors]
+        for index in reads:  # one reply for that cursor, up to 5 each
+            if len(streams[index]) < 5:
+                streams[index].append(cursors[index].generate(self.REQUEST))
+        for stream in streams:
+            assert stream == expected[:len(stream)]
+        assert first_replies == ({"record": expected[0]} if reads else {})
+
+    def test_threads_drawing_at_once_store_one_equal_reply(self) -> None:
+        noise = OracleNoiseConfig(flip_answer_prob=0.5, corrupt_claim_prob=0.5,
+                                  malform_prob=0.3, seed=11)
+        closure = forward_chain(THEORY)
+        twin = OracleGenerator(closure, QUESTION, noise)
+        expected = [twin.generate(self.REQUEST) for _ in range(3)]
+        threads = 8
+        start = threading.Barrier(threads, timeout=10)
+
+        def read_three(first_replies: dict) -> list:
+            cursor = OracleGenerator(closure, QUESTION, noise, first_replies=first_replies,
+                                     key="record")
+            start.wait()
+            return [cursor.generate(self.REQUEST) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for _ in range(20):
+                    first_replies: dict = {}
+                    streams = list(pool.map(read_three, [first_replies] * threads, timeout=30))
+                    assert streams == [expected] * threads
+                    assert first_replies == {"record": expected[0]}
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_label_and_claims_wait_for_the_first_draw(self, monkeypatch) -> None:
+        calls: list = []
+        monkeypatch.setattr(generation, "decide_from_closure",
+                            lambda *args: calls.append(args) or Label.UNKNOWN)
+        generator = OracleGenerator(forward_chain(THEORY), QUESTION)
+        assert calls == []
+        generator.generate(self.REQUEST)
+        generator.generate(self.REQUEST)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
