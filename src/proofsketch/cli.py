@@ -70,7 +70,7 @@ _USER_ERRORS = (UsageError, OSError, ParseError, SchemaError, InconsistentFactsE
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
 
@@ -171,12 +171,8 @@ def _generator_for(args: argparse.Namespace, config_doc: dict) -> Iterator[Gener
             prefix = "" if isinstance(exc, EndpointError) else "config file: "
             raise UsageError(f"{prefix}{exc}") from exc
     else:
-        # The noise knobs, checked once here; each record adds its own seed.
-        seeded_noise = functools.partial(OracleNoiseConfig, flip_answer_prob=args.flip,
-                                         corrupt_claim_prob=args.corrupt,
-                                         malform_prob=args.malform)
-        try:
-            seeded_noise()
+        try:  # one noise config per command; each record brings its own seed
+            noise = OracleNoiseConfig(args.flip, args.corrupt, args.malform)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         # A record's stream depends only on its closure, question and seed,
@@ -185,7 +181,7 @@ def _generator_for(args: argparse.Namespace, config_doc: dict) -> Iterator[Gener
 
         def make_oracle(closure: Closure, question: Question, seed: int,
                         record_id: Hashable) -> Generator:
-            return OracleGenerator(closure, question, seeded_noise(seed=seed),
+            return OracleGenerator(closure, question, noise, seed,
                                    first_replies=first_replies, key=record_id)
 
         yield make_oracle

@@ -238,12 +238,11 @@ class ScriptedGenerator:
 
 @dataclass(frozen=True)
 class OracleNoiseConfig:
-    """Seeded corruption knobs for the closure-backed generator."""
+    """Corruption probabilities for the oracle; each OracleGenerator has its own seed."""
 
     flip_answer_prob: float = 0.0
     corrupt_claim_prob: float = 0.0
     malform_prob: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("flip_answer_prob", "corrupt_claim_prob", "malform_prob"):
@@ -264,27 +263,28 @@ class OracleGenerator:
     fixed order per call (malform, answer flip, then one corruption draw
     per claim), so equal seeds give byte-identical output streams. The
     request is never read: the stream depends only on the closure, the
-    question and the noise. The label and claims are read off the closure
-    at the first draw, so a generator that is never called does no work.
+    question, the noise and the seed. The label and claims are read off
+    the closure at the first draw, so an uncalled generator does no work.
 
     Generators whose streams are equal may share their first reply through
     first_replies, a dict that holds it under key; callers give equal keys
-    only to equal (closure, question, noise). The first generator of a key
-    to draw stores its first reply there, and the others return it. One of
-    those that asks for a second reply seeds its own RNG and replays the
-    first draw, so the dict holds one reply per key and no RNG. Threads may
-    share the dict: two that draw one key's first reply at once store equal
-    replies, and setdefault keeps one. A generator itself is one cursor that
-    no caller shares across threads, so its RNG needs no lock.
+    only to equal (closure, question, noise, seed). The first generator of
+    a key to draw stores its first reply there, and the others return it.
+    One of those that asks for a second reply seeds its own RNG and replays
+    the first draw, so the dict holds one reply per key and no RNG. Threads
+    may share the dict: two that draw one key's first reply at once store
+    equal replies, and setdefault keeps one. A generator itself is one
+    cursor that no caller shares across threads, so its RNG needs no lock.
     """
 
     def __init__(self, closure: Closure, question: Question,
-                 noise: OracleNoiseConfig | None = None, *,
+                 noise: OracleNoiseConfig | None = None, seed: int = 0, *,
                  first_replies: dict[Hashable, GenerationResponse] | None = None,
                  key: Hashable = None) -> None:
         self._closure = closure
         self._question = question
         self._noise = noise or OracleNoiseConfig()
+        self._seed = seed
         self._first_replies = first_replies
         self._key = key
         self._drawn = 0  # replies returned, drawn here or shared
@@ -301,7 +301,7 @@ class OracleGenerator:
     def _draw(self) -> GenerationResponse:
         if self._rng is None:
             closure, question = self._closure, self._question
-            self._rng = random.Random(self._noise.seed)
+            self._rng = random.Random(self._seed)
             self._label = decide_from_closure(closure, question)
             self._claims = tuple(verified_literals(closure, question.target.entity)[:3])
             for _ in range(self._drawn - 1):  # replay the replies shared with this one

@@ -138,9 +138,9 @@ def load_dataset(path: str | Path) -> LoadResult:
     rejects: list[RejectedLine] = []
     closures: dict[str, Closure] = {}
     first_lines: dict[str, int] = {}  # record id -> line number of the record kept
-    # surrogateescape turns each undecodable byte into a lone surrogate, which
-    # encoding back to UTF-8 finds, so lines split as they would if decoded strictly.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    # utf-8-sig drops a leading BOM. surrogateescape turns each undecodable byte into a lone
+    # surrogate, which encoding back to UTF-8 finds, so lines split as if decoded strictly.
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

@@ -31,11 +31,11 @@ The structured format is a JSON object:
                 "body": [{"attribute": ..., "negated": ...}],
                 "head": {"attribute": ..., "negated": ...}}]}
 
-A structured theory reaches the generator as Theory.to_text, so it may
-not use a name those sentences would read back differently: the attribute
-'not', a fact entity 'if' or 'all' (the sentence reads as a rule), a rule
-subject 'someone' or 'something' (it reads as every entity), or 'then' or
-'and' as a rule condition's attribute (it ends or splits the conditions).
+A structured theory reaches the generator as Theory.to_text, so each of
+its facts and rules must read back from its own sentence as itself:
+the reader renders each element and parses the sentence again, and a
+fact entity 'if' ("If is big.") or a rule subject 'someone' is rejected
+that way. The sentence grammar is stated once, in the parser.
 
 All symbols pass through one canonicalizer, so "Anne", " anne " and
 "Anne." name the same entity, and "the bald eagle" becomes "bald-eagle".
@@ -79,10 +79,6 @@ _COND_BARE_RE = re.compile(
 )
 
 _UNIVERSAL_SUBJECTS = frozenset({"someone", "something"})
-# Names a structured theory may not use, by position (module docstring).
-_RESERVED_ATTRIBUTES = frozenset({"not"})
-_RESERVED_CONDITIONS = _RESERVED_ATTRIBUTES | {"then", "and"}
-_RESERVED_FACT_ENTITIES = frozenset({"if", "all"})
 _PRONOUN_REFS = frozenset({"they", "it"})
 _QUESTION_WORDS = frozenset({"who", "whom", "whose", "what", "which", "where", "when", "why", "how"})
 
@@ -389,29 +385,36 @@ def _field(mapping: Any, key: str, kind: type, path: str) -> Any:
     return _expect(mapping[key], kind, f"{path}.{key}")
 
 
-def _canonical_field(mapping: Any, key: str, path: str, reserved: frozenset[str]) -> str:
+def _canonical_field(mapping: Any, key: str, path: str) -> str:
     raw = _field(mapping, key, str, path)
     try:
-        symbol = canonicalize_symbol(raw)
+        return canonicalize_symbol(raw)
     except EmptySymbolError as exc:
         raise SchemaError(f"{path}.{key}: {exc.reason}") from exc
-    if symbol in reserved:
-        raise SchemaError(f"{path}.{key}: {symbol!r} is a reserved word here")
-    return symbol
 
 
-def _parse_condition_obj(obj: Any, path: str,
-                         reserved: frozenset[str]) -> tuple[str, Polarity]:
-    attribute = _canonical_field(obj, "attribute", path, reserved)
+def _parse_condition_obj(obj: Any, path: str) -> tuple[str, Polarity]:
+    attribute = _canonical_field(obj, "attribute", path)
     negated = _field(obj, "negated", bool, path)
     return attribute, Polarity.NEGATIVE if negated else Polarity.POSITIVE
+
+
+def _read_back(element: Theory, path: str) -> None:
+    """Reject a one-element theory whose sentence parses as anything else."""
+    sentence = element.to_text()
+    try:
+        same = parse_theory_nl(sentence) == element
+    except ParseError:
+        same = False
+    if not same:
+        raise SchemaError(f"{path}: its sentence {sentence!r} reads back differently")
 
 
 def parse_theory_structured(doc: Any) -> Theory:
     """Parse the structured JSON shape into a Theory.
 
-    Raises SchemaError naming the offending field, or
-    InconsistentFactsError for contradictory fact lists.
+    Raises SchemaError naming the offending field or the fact or rule that
+    does not read back, or InconsistentFactsError for contradictory facts.
     """
     if not isinstance(doc, dict):
         raise SchemaError("document: expected object")
@@ -421,8 +424,10 @@ def parse_theory_structured(doc: Any) -> Theory:
     literals: set[Literal] = set()
     for index, entry in enumerate(facts):
         path = f"facts[{index}]"
-        entity = _canonical_field(entry, "entity", path, _RESERVED_FACT_ENTITIES)
-        literals.add(Literal(entity, *_parse_condition_obj(entry, path, _RESERVED_ATTRIBUTES)))
+        entity = _canonical_field(entry, "entity", path)
+        literal = Literal(entity, *_parse_condition_obj(entry, path))
+        _read_back(Theory(frozenset({literal})), path)
+        literals.add(literal)
 
     parsed_rules: list[Rule] = []
     for index, entry in enumerate(rules):
@@ -431,19 +436,17 @@ def parse_theory_structured(doc: Any) -> Theory:
         if raw_subject in ("*", ""):
             subject = None
         else:
-            subject = _canonical_field(entry, "subject", path, _UNIVERSAL_SUBJECTS)
+            subject = _canonical_field(entry, "subject", path)
         body_entries = _field(entry, "body", list, path)
-        body = tuple(
-            _parse_condition_obj(item, f"{path}.body[{position}]", _RESERVED_CONDITIONS)
-            for position, item in enumerate(body_entries)
-        )
-        head = _parse_condition_obj(
-            _field(entry, "head", dict, path), f"{path}.head", _RESERVED_ATTRIBUTES
-        )
+        body = tuple(_parse_condition_obj(item, f"{path}.body[{position}]")
+                     for position, item in enumerate(body_entries))
+        head = _parse_condition_obj(_field(entry, "head", dict, path), f"{path}.head")
         try:
-            parsed_rules.append(Rule(subject, body, head))
+            rule = Rule(subject, body, head)
         except ValueError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
+        _read_back(Theory(frozenset(), (rule,)), path)
+        parsed_rules.append(rule)
 
     return Theory(frozenset(literals), tuple(parsed_rules))
 

@@ -168,7 +168,7 @@ def test_criterion_04_oracle_generator_soundness() -> None:
     correct = certified = 0
     for index, (theory, question, closure) in enumerate(cases):
         gold = decide_from_closure(closure, question)
-        generator = OracleGenerator(closure, question, OracleNoiseConfig(seed=index))
+        generator = OracleGenerator(closure, question, OracleNoiseConfig(), index)
         result = run_pipeline(closure, question, PipelineConfig(), generator)
         correct += result.answer is gold
         certified += result.certification is Certification.CERTIFIED
@@ -188,9 +188,9 @@ def test_criterion_04_oracle_generator_soundness() -> None:
         problems.append(f"only {len(undecidable)} undecidable cases in the corpus")
     flipped_correct = flipped_certified = consistency_ok = 0
     for index, (theory, question, closure) in enumerate(undecidable):
-        noise = OracleNoiseConfig(flip_answer_prob=1.0, seed=index)
+        noise = OracleNoiseConfig(flip_answer_prob=1.0)
         result = run_pipeline(closure, question, PipelineConfig(),
-                              OracleGenerator(closure, question, noise))
+                              OracleGenerator(closure, question, noise, index))
         flipped_correct += result.answer is Label.UNKNOWN
         flipped_certified += result.certification is Certification.CERTIFIED
         winning = result.sketches[-1]
@@ -226,9 +226,9 @@ def test_criterion_05_noise_monotonicity() -> None:
     for corrupt in (0.0, 0.25, 0.5):
         correct = certified = 0
         for index, (closure, question, gold) in enumerate(cases):
-            noise = OracleNoiseConfig(corrupt_claim_prob=corrupt, seed=1_000 + index)
+            noise = OracleNoiseConfig(corrupt_claim_prob=corrupt)
             result = run_pipeline(closure, question, PipelineConfig(),
-                                  OracleGenerator(closure, question, noise))
+                                  OracleGenerator(closure, question, noise, 1_000 + index))
             correct += result.answer is gold
             certified += result.certification is Certification.CERTIFIED
         accuracies[corrupt] = correct / len(cases)
@@ -390,7 +390,7 @@ def test_criterion_09_budget_enforcement() -> None:
     )
     oracle = OracleGenerator(
         forward_chain(oracle_theory), parse_question("Is Anne young?"),
-        OracleNoiseConfig(corrupt_claim_prob=0.3, malform_prob=0.2, seed=4),
+        OracleNoiseConfig(corrupt_claim_prob=0.3, malform_prob=0.2), 4,
     )
     check_calls("oracle",
                 lambda cap: request_sketch(oracle, "p", cap, temperature=0.0))

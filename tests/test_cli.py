@@ -468,6 +468,40 @@ class TestUserErrors:
         assert main(argv) == 2
         assert _error_line(capsys) == f"proofsketch: error: {path}: not valid UTF-8 (byte 7)"
 
+    def test_byte_order_mark_keeps_file_offsets(self, theory_file, tmp_path, capsys) -> None:
+        # The offset counts the BOM's three bytes: it is an offset into the file.
+        path = tmp_path / "config.json"
+        path.write_bytes(b'\xef\xbb\xbf{"a": "\xff"}')
+        argv = ["answer", str(theory_file), "--question", "Is Bob kind?", "--config", str(path)]
+        assert main(argv) == 2
+        assert _error_line(capsys) == f"proofsketch: error: {path}: not valid UTF-8 (byte 10)"
+
+    @pytest.mark.parametrize("name, command", [
+        ("config.json", ["answer", "{theory}", "--question", "Is Anne kind?",
+                         "--config", "{path}"]),
+        ("theory.txt", ["answer", "{path}", "--question", "Is Anne kind?"]),
+        ("theory.json", ["closure", "{path}"]),
+        ("script.json", ["answer", "{theory}", "--question", "Is Bob kind?",
+                         "--backend", "scripted", "--script", "{path}"]),
+    ], ids=("config", "theory-text", "theory-json", "script"))
+    def test_leading_byte_order_mark_dropped(self, theory_file, tmp_path, capsys, name,
+                                             command) -> None:
+        contents = {
+            "config.json": '{"max_sketches": 2}',
+            "theory.txt": THEORY_TEXT,
+            "theory.json": json.dumps({"facts": [{"entity": "anne", "attribute": "big",
+                                                  "negated": False}], "rules": []}),
+            "script.json": json.dumps(['{"answer": "Unknown", "claims": []}']),
+        }
+        outputs = []
+        for bom in ("", "\ufeff"):
+            path = tmp_path / name
+            path.write_text(bom + contents[name], encoding="utf-8")
+            cli._closure_of.cache_clear()
+            assert main([arg.format(path=path, theory=theory_file) for arg in command]) == 0
+            outputs.append(re.sub(r'"latency_ms": [0-9.e-]+', "", capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("command, name", [
         (["closure", "{path}"], "theory.json"),
         (["answer", "{path}", "--question", "Is Bob kind?"], "theory.json"),
@@ -617,8 +651,12 @@ class TestReadmeErrorExamples:
          "config file has unknown key(s): endpoint_url"),
         (["eval", "{dir}/data.jsonl", "--method", "sketch", "--out", "{dir}/run"],
          {"data.jsonl": _DUPLICATE_IDS}, "", "duplicate id 'r1' (first on line 1)"),
+        (["closure", "{dir}/x.json"],
+         {"x.json": json.dumps({"facts": [{"entity": "if", "attribute": "big", "negated": False}],
+                                "rules": []})},
+         "", "facts[0]: its sentence 'If is big.' reads back differently"),
     ], ids=("nan", "max-retries", "workers", "api-key", "metrics-row", "metrics-savings",
-            "bare-not", "unknown-key", "duplicate-id"))
+            "bare-not", "unknown-key", "duplicate-id", "read-back"))
     def test_example_gives_quoted_message(self, tmp_path, capsys, monkeypatch, argv, files, key,
                                           quoted) -> None:
         monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
@@ -672,8 +710,9 @@ class TestAblateCommand:
                      "--corrupt", "0.4", "--malform", "0.3", "--out", str(out_csv)]) == 0
 
         def fresh_oracle(record: DatasetRecord) -> OracleGenerator:
-            noise = OracleNoiseConfig(0.3, 0.4, 0.3, seed=_record_seed(2, record.record_id))
-            return OracleGenerator(record.closure, record.question, noise)
+            return OracleGenerator(record.closure, record.question,
+                                   OracleNoiseConfig(0.3, 0.4, 0.3),
+                                   _record_seed(2, record.record_id))
 
         expected = run_ablation(load_dataset(path).records, [4, 8, 16], PipelineConfig(),
                                 fresh_oracle)
@@ -830,6 +869,30 @@ class TestSingleProducer:
         assert main(["answer", str(theory_file), "--question", "Is Anne kind?"]) == 0
         assert json.loads(capsys.readouterr().out)["generator_calls"] == 0
         assert decisions == []
+
+    NOISE_COMMANDS = (
+        ["eval", "{dataset}", "--method", "all"],
+        ["ablate", "{dataset}", "--budgets", "40,120"],
+        ["answer", "{theory}", "--question", "Is Bob kind?"],
+    )
+
+    @pytest.mark.parametrize("command", NOISE_COMMANDS, ids=("eval", "ablate", "answer"))
+    def test_noise_checked_once_per_command(self, command, dataset, theory_file, capsys,
+                                            monkeypatch) -> None:
+        checks: list = []
+        original = OracleNoiseConfig.__post_init__
+        monkeypatch.setattr(OracleNoiseConfig, "__post_init__",
+                            lambda noise: checks.append(noise) or original(noise))
+        argv = [arg.format(dataset=dataset, theory=theory_file) for arg in command]
+        assert main([*argv, "--flip", "0.5", "--corrupt", "0.2", "--seed", "3"]) == 0
+        assert len(checks) == 1
+        assert checks[0] == OracleNoiseConfig(0.5, 0.2, 0.0)
+
+    @pytest.mark.parametrize("command", NOISE_COMMANDS, ids=("eval", "ablate", "answer"))
+    def test_bad_noise_is_one_line_error(self, command, dataset, theory_file, capsys) -> None:
+        argv = [arg.format(dataset=dataset, theory=theory_file) for arg in command]
+        assert main([*argv, "--flip", "1.5"]) == 2
+        assert _error_line(capsys) == "proofsketch: error: flip_answer_prob must lie in [0, 1]"
 
 
 class _ThreadStdout(io.TextIOBase):

@@ -239,7 +239,7 @@ class TestOracleGenerator:
 
     def test_noise_zero_matches_closure(self) -> None:
         question = parse_question("Is Anne kind?")
-        generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(seed=5))
+        generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(), 5)
         parsed = parse_sketch(self._generate(generator), THEORY)
         assert parsed.parse_status is ParseStatus.CLEAN
         assert parsed.answer is Label.TRUE
@@ -251,7 +251,7 @@ class TestOracleGenerator:
 
     def test_claims_ordered_shallowest_first(self) -> None:
         question = parse_question("Is Anne kind?")
-        generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(seed=5))
+        generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(), 5)
         payload = json.loads(self._generate(generator))
         assert payload["claims"] == ["anne is big", "anne is kind"]
 
@@ -260,44 +260,44 @@ class TestOracleGenerator:
             "Anne is big. Anne is quiet. Anne is round. Anne is smart. Anne is young."
         )
         question = parse_question("Is Anne kind?")
-        generator = OracleGenerator(forward_chain(theory), question, OracleNoiseConfig(seed=5))
+        generator = OracleGenerator(forward_chain(theory), question, OracleNoiseConfig(), 5)
         payload = json.loads(self._generate(generator))
         assert len(payload["claims"]) == 3
 
     def test_no_closure_facts_means_no_claims(self) -> None:
         question = parse_question("Is Zed kind?")
-        generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(seed=5))
+        generator = OracleGenerator(forward_chain(THEORY), question, OracleNoiseConfig(), 5)
         payload = json.loads(self._generate(generator))
         assert payload["claims"] == []
         assert payload["answer"] == "Unknown"
 
     def test_same_seed_same_stream(self) -> None:
         noise = OracleNoiseConfig(flip_answer_prob=0.5, corrupt_claim_prob=0.5,
-                                  malform_prob=0.3, seed=77)
-        first = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
-        second = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
+                                  malform_prob=0.3)
+        first = OracleGenerator(forward_chain(THEORY), QUESTION, noise, 77)
+        second = OracleGenerator(forward_chain(THEORY), QUESTION, noise, 77)
         stream_a = [self._generate(first) for _ in range(20)]
         stream_b = [self._generate(second) for _ in range(20)]
         assert stream_a == stream_b
 
     def test_flip_always_changes_answer(self) -> None:
-        noise = OracleNoiseConfig(flip_answer_prob=1.0, seed=3)
-        generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
+        noise = OracleNoiseConfig(flip_answer_prob=1.0)
+        generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise, 3)
         for _ in range(10):
             payload = json.loads(self._generate(generator))
             assert payload["answer"] != Label.TRUE.value
             assert payload["answer"] in (Label.FALSE.value, Label.UNKNOWN.value)
 
     def test_malform_always_breaks_parse(self) -> None:
-        noise = OracleNoiseConfig(malform_prob=1.0, seed=3)
-        generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
+        noise = OracleNoiseConfig(malform_prob=1.0)
+        generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise, 3)
         text = self._generate(generator)
         parsed = parse_sketch(text, THEORY)
         assert parsed.parse_status is ParseStatus.FAILED
 
     def test_corrupt_negates_claims(self) -> None:
-        noise = OracleNoiseConfig(corrupt_claim_prob=1.0, seed=3)
-        generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise)
+        noise = OracleNoiseConfig(corrupt_claim_prob=1.0)
+        generator = OracleGenerator(forward_chain(THEORY), QUESTION, noise, 3)
         payload = json.loads(self._generate(generator))
         assert payload["claims"] == ["anne is not big", "anne is not kind"]
 
@@ -329,13 +329,14 @@ class TestSharedFirstReply:
         theory = random_theory(rng, max_rules=6)
         question = random_question(rng, theory)
         closure = forward_chain(theory)
-        noise = OracleNoiseConfig(flip, corrupt, malform, seed=noise_seed)
-        twin = OracleGenerator(closure, question, noise)
+        noise = OracleNoiseConfig(flip, corrupt, malform)
+        twin = OracleGenerator(closure, question, noise, noise_seed)
         expected = [twin.generate(self.REQUEST) for _ in range(5)]
 
         first_replies: dict = {}
-        cursors = [OracleGenerator(closure, question, noise, first_replies=first_replies,
-                                   key="record") for _ in range(4)]
+        cursors = [OracleGenerator(closure, question, noise, noise_seed,
+                                   first_replies=first_replies, key="record")
+                   for _ in range(4)]
         streams: list[list] = [[] for _ in cursors]
         for index in reads:  # one reply for that cursor, up to 5 each
             if len(streams[index]) < 5:
@@ -346,16 +347,16 @@ class TestSharedFirstReply:
 
     def test_threads_drawing_at_once_store_one_equal_reply(self) -> None:
         noise = OracleNoiseConfig(flip_answer_prob=0.5, corrupt_claim_prob=0.5,
-                                  malform_prob=0.3, seed=11)
+                                  malform_prob=0.3)
         closure = forward_chain(THEORY)
-        twin = OracleGenerator(closure, QUESTION, noise)
+        twin = OracleGenerator(closure, QUESTION, noise, 11)
         expected = [twin.generate(self.REQUEST) for _ in range(3)]
         threads = 8
         start = threading.Barrier(threads, timeout=10)
 
         def read_three(first_replies: dict) -> list:
-            cursor = OracleGenerator(closure, QUESTION, noise, first_replies=first_replies,
-                                     key="record")
+            cursor = OracleGenerator(closure, QUESTION, noise, 11,
+                                     first_replies=first_replies, key="record")
             start.wait()
             return [cursor.generate(self.REQUEST) for _ in range(3)]
 

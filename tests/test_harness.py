@@ -78,6 +78,18 @@ class TestLoadDataset:
         assert "invalid JSON" in reasons
         assert "perhaps" in reasons
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path) -> None:
+        # One BOM at the start of the file is dropped; one on a later line is
+        # part of that line, so the line is rejected as JSON.
+        path = tmp_path / "data.jsonl"
+        second = json.dumps(dict(VALID_LINE, id="ex-2"))
+        path.write_text("\ufeff" + json.dumps(VALID_LINE) + "\n\ufeff" + second + "\n",
+                        encoding="utf-8")
+        loaded = load_dataset(path)
+        assert [record.record_id for record in loaded.records] == ["ex-1"]
+        assert [reject.line_number for reject in loaded.rejects] == [2]
+        assert loaded.rejects[0].reason.startswith("invalid JSON")
+
     def test_repeated_id_rejected(self, tmp_path) -> None:
         path = tmp_path / "data.jsonl"
         line = {"id": "r1", "theory": "Anne is big.", "question": "Is Anne big?"}

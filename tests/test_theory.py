@@ -327,22 +327,24 @@ class TestStructuredParsing:
         assert fragment in str(excinfo.value)
 
     @pytest.mark.parametrize("fact, rule, message", [
-        ({"entity": "if"}, None, "facts[0].entity: 'if' is a reserved word here"),
-        ({"entity": "All"}, None, "facts[0].entity: 'all' is a reserved word here"),
-        ({"attribute": "not"}, None, "facts[0].attribute: 'not' is a reserved word here"),
-        (None, {"subject": "someone"}, "rules[0].subject: 'someone' is a reserved word here"),
+        ({"entity": "if"}, None, "facts[0]: its sentence 'If is big.' reads back differently"),
+        ({"entity": "All"}, None, "facts[0]: its sentence 'All is big.' reads back differently"),
+        ({"attribute": "not"}, None,
+         "facts[0]: its sentence 'Anne is not.' reads back differently"),
+        (None, {"subject": "someone"},
+         "rules[0]: its sentence 'If someone is big then someone is kind.' reads back differently"),
         (None, {"subject": "Something"},
-         "rules[0].subject: 'something' is a reserved word here"),
+         "rules[0]: its sentence 'If something is big then something is kind.' "
+         "reads back differently"),
         (None, {"body": [{"attribute": "then", "negated": False}]},
-         "rules[0].body[0].attribute: 'then' is a reserved word here"),
-        (None, {"body": [{"attribute": "and", "negated": True}]},
-         "rules[0].body[0].attribute: 'and' is a reserved word here"),
+         "rules[0]: its sentence 'If someone is then then they are kind.' reads back differently"),
         (None, {"body": [{"attribute": "not", "negated": False}]},
-         "rules[0].body[0].attribute: 'not' is a reserved word here"),
+         "rules[0]: its sentence 'If someone is not then they are kind.' reads back differently"),
         (None, {"head": {"attribute": "not", "negated": True}},
-         "rules[0].head.attribute: 'not' is a reserved word here"),
+         "rules[0]: its sentence 'If someone is big then they are not not.' "
+         "reads back differently"),
     ], ids=("fact-if", "fact-all", "fact-not", "subject-someone", "subject-something",
-            "condition-then", "condition-and", "condition-not", "head-not"))
+            "condition-then", "condition-not", "head-not"))
     def test_names_text_cannot_say_rejected(self, fact, rule, message) -> None:
         doc = {"facts": [], "rules": []}
         if fact is not None:
@@ -354,13 +356,23 @@ class TestStructuredParsing:
             parse_theory_structured(doc)
         assert str(excinfo.value) == message
 
-    def test_reserved_words_allowed_elsewhere(self) -> None:
-        # Each reserved word is a plain name where the text reads it back.
+    def test_grammar_words_accepted_where_they_read_back(self) -> None:
+        # A word the sentence grammar reads specially is a plain name
+        # wherever its fact's or rule's sentence reads back as itself,
+        # 'and' as a rule's only or last condition among them.
         doc = {"facts": [{"entity": "then", "attribute": "if", "negated": False},
                          {"entity": "someone", "attribute": "and", "negated": True}],
                "rules": [{"subject": "if", "body": [{"attribute": "all", "negated": False}],
-                          "head": {"attribute": "then", "negated": False}}]}
+                          "head": {"attribute": "then", "negated": False}},
+                         {"subject": "*", "body": [{"attribute": "and", "negated": True}],
+                          "head": {"attribute": "kind", "negated": False}},
+                         {"subject": "*", "body": [{"attribute": "big", "negated": False},
+                                                   {"attribute": "and", "negated": False}],
+                          "head": {"attribute": "kind", "negated": False}}]}
         theory = parse_theory_structured(doc)
+        assert theory.rules[1] == Rule(None, (("and", Polarity.NEGATIVE),),
+                                       ("kind", Polarity.POSITIVE))
+        assert theory.rules[2].body == (("big", Polarity.POSITIVE), ("and", Polarity.POSITIVE))
         assert parse_theory_nl(theory.to_text()) == theory
 
     def test_inconsistent_facts_rejected(self) -> None:
