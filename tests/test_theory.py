@@ -338,13 +338,17 @@ class TestStructuredParsing:
          "reads back differently"),
         (None, {"body": [{"attribute": "then", "negated": False}]},
          "rules[0]: its sentence 'If someone is then then they are kind.' reads back differently"),
+        (None, {"body": [{"attribute": "and", "negated": True},
+                         {"attribute": "big", "negated": False}]},
+         "rules[0]: its sentence 'If someone is not and and big then they are kind.' "
+         "reads back differently"),
         (None, {"body": [{"attribute": "not", "negated": False}]},
          "rules[0]: its sentence 'If someone is not then they are kind.' reads back differently"),
         (None, {"head": {"attribute": "not", "negated": True}},
          "rules[0]: its sentence 'If someone is big then they are not not.' "
          "reads back differently"),
     ], ids=("fact-if", "fact-all", "fact-not", "subject-someone", "subject-something",
-            "condition-then", "condition-not", "head-not"))
+            "condition-then", "condition-and", "condition-not", "head-not"))
     def test_names_text_cannot_say_rejected(self, fact, rule, message) -> None:
         doc = {"facts": [], "rules": []}
         if fact is not None:
@@ -355,6 +359,16 @@ class TestStructuredParsing:
         with pytest.raises(SchemaError) as excinfo:
             parse_theory_structured(doc)
         assert str(excinfo.value) == message
+
+    def test_reserved_words_allowed_elsewhere(self) -> None:
+        # Each word the sentence grammar reads specially is a plain name
+        # where the text reads it back.
+        doc = {"facts": [{"entity": "then", "attribute": "if", "negated": False},
+                         {"entity": "someone", "attribute": "and", "negated": True}],
+               "rules": [{"subject": "if", "body": [{"attribute": "all", "negated": False}],
+                          "head": {"attribute": "then", "negated": False}}]}
+        theory = parse_theory_structured(doc)
+        assert parse_theory_nl(theory.to_text()) == theory
 
     def test_grammar_words_accepted_where_they_read_back(self) -> None:
         # A word the sentence grammar reads specially is a plain name
