@@ -70,7 +70,8 @@ _USER_ERRORS = (UsageError, OSError, ParseError, SchemaError, InconsistentFactsE
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as file:
+            return file.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
 
@@ -116,10 +117,17 @@ def _load_closure(path: str) -> Closure:
         return _closure_of(text, path.endswith(".json"))
 
 
+# PipelineConfig is frozen, so every command without --config shares one.
+_DEFAULT_CONFIG = PipelineConfig()
+
+# JSONEncoder.encode keeps nothing between calls, so commands share one.
+_INDENTED_JSON = json.JSONEncoder(indent=2)
+
+
 def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
     """The --config document, type-checked, and the PipelineConfig it sets."""
     if not path:
-        return {}, PipelineConfig()
+        return {}, _DEFAULT_CONFIG
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
@@ -224,7 +232,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
         for entity, pairs in sorted(closure.table.items())
         for (attribute, polarity), depth in sorted(pairs.items())
     ]
-    print(json.dumps({"literals": literals, "contradictory": closure.contradictory}, indent=2))
+    print(_INDENTED_JSON.encode({"literals": literals, "contradictory": closure.contradictory}))
     return 0
 
 
@@ -235,7 +243,7 @@ def _cmd_answer(args: argparse.Namespace) -> int:
     with _generator_for(args, config_doc) as make:
         result = run_pipeline(closure, question, config,
                               make(closure, question, args.seed, None))
-    print(json.dumps(result.to_json_dict(), indent=2))
+    print(_INDENTED_JSON.encode(result.to_json_dict()))
     return 0
 
 
@@ -314,13 +322,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every main()
-    call in the process. Parsing only reads it, so threads may share it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by command name,
+    built on first use and shared by every main() call in the process.
+    Parsing only reads them, so threads may share them."""
     parser = argparse.ArgumentParser(
         prog="proofsketch",
         description="Verification-guided question answering over unary logical theories",
     )
+    # main() never reads args.command; dest names it in the missing-command error.
     commands = parser.add_subparsers(dest="command", required=True)
 
     closure_cmd = commands.add_parser("closure", help="print a theory's closure as JSON")
@@ -354,11 +364,29 @@ def build_parser() -> argparse.ArgumentParser:
     report_cmd.add_argument("--format", choices=["md", "csv", "json"], default="md")
     report_cmd.set_defaults(handler=_cmd_report)
 
-    return parser
+    return parser, commands.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level command-line parser, built once per process and shared,
+    like each command's parser, by every main() call. main() runs it only
+    when argv names no command, for the help text or the usage error."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line once, by the parser of the command it starts
+    with; the top-level parser sees only a line that names no command."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    return command.parse_args(argv[1:]) if command else parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line and return its exit status. Each command line is
+    parsed once, by its command's parser; an argument error prints the usage
+    of the command it belongs to and exits with status 2."""
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if not 1 <= getattr(args, "workers", 1) <= _MAX_WORKERS:
             raise UsageError(f"--workers must be between 1 and {_MAX_WORKERS}")

@@ -67,6 +67,7 @@ _SYMBOL_CACHE_SIZE = 4096
 
 _FACT_RE = re.compile(r"^(?P<subj>.+?)\s+is\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE)
 _IF_RE = re.compile(r"^if\s+(?P<body>.+?)\s+then\s+(?P<head>.+)$", re.IGNORECASE)
+_AND_RE = re.compile(r"\s+and\s+", re.IGNORECASE)
 _ALL_RE = re.compile(
     r"^all\s+(?P<attrs>.+?)\s+(?:people|things)\s+are\s+(?:(?P<neg>not)\s+)?(?P<head>.+)$",
     re.IGNORECASE,
@@ -135,7 +136,7 @@ class Polarity(str, Enum):
     NEGATIVE = "negative"
 
     def negated(self) -> "Polarity":
-        return Polarity.NEGATIVE if self is Polarity.POSITIVE else Polarity.POSITIVE
+        return _NEGATED[self]
 
 
 class Label(str, Enum):
@@ -148,11 +149,12 @@ class Label(str, Enum):
     @classmethod
     def from_text(cls, text: str) -> "Label | None":
         """Case-insensitive exact match on the three label words."""
-        lowered = text.strip().lower()
-        for label in cls:
-            if lowered == label.value.lower():
-                return label
-        return None
+        return _LABEL_WORDS.get(text.strip().lower())
+
+
+# Lookup tables built once from the enums (a dict in an Enum body would be a member).
+_NEGATED = {Polarity.POSITIVE: Polarity.NEGATIVE, Polarity.NEGATIVE: Polarity.POSITIVE}
+_LABEL_WORDS = {label.value.lower(): label for label in Label}
 
 
 @dataclass(frozen=True)
@@ -304,7 +306,7 @@ def _parse_rule_if(sentence: str) -> Rule:
     match = _IF_RE.match(sentence)
     if not match:
         raise ParseError("expected 'If <conditions> then <conclusion>'")
-    conjuncts = re.split(r"\s+and\s+", match["body"], flags=re.IGNORECASE)
+    conjuncts = _AND_RE.split(match["body"])
 
     first = _COND_FULL_RE.match(conjuncts[0])
     if not first:
@@ -433,7 +435,7 @@ def parse_theory_structured(doc: Any) -> Theory:
     for index, entry in enumerate(rules):
         path = f"rules[{index}]"
         raw_subject = _field(entry, "subject", str, path)
-        if raw_subject in ("*", ""):
+        if raw_subject == "*":
             subject = None
         else:
             subject = _canonical_field(entry, "subject", path)

@@ -1040,8 +1040,48 @@ class TestSharedParser:
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--no-such-flag"])
         assert excinfo.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err.splitlines()
+        # The answer parser reports it, with its own usage line.
+        assert err[0].startswith("usage: proofsketch answer [-h] --question QUESTION")
+        assert err[-1] == "proofsketch answer: error: unrecognized arguments: --no-such-flag"
         assert answer() == before
+
+    def test_each_command_line_parsed_once(self, theory_file, capsys, monkeypatch) -> None:
+        top, commands = cli._parsers()
+        calls = {"top": 0, "answer": 0}
+
+        def counting(name, parse):
+            def parse_args(*args, **kwargs):
+                calls[name] += 1
+                return parse(*args, **kwargs)
+            return parse_args
+
+        monkeypatch.setattr(top, "parse_args", counting("top", top.parse_args))
+        answer = commands["answer"]
+        monkeypatch.setattr(answer, "parse_args", counting("answer", answer.parse_args))
+        assert main(["answer", str(theory_file), "--question", "Is Bob kind?"]) == 0
+        assert calls == {"top": 0, "answer": 1}
+
+    @pytest.mark.parametrize("argv, status, stream, last_line", [
+        ([], 2, "err", "proofsketch: error: the following arguments are required: command"),
+        (["-h"], 0, "out", None),
+        (["bogus"], 2, "err", "proofsketch: error: argument command: invalid choice: 'bogus'"),
+    ], ids=("empty", "help", "unknown-command"))
+    def test_no_command_keeps_top_level_usage(self, argv, status, stream, last_line,
+                                              capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == status
+        lines = getattr(capsys.readouterr(), stream).splitlines()
+        assert lines[0] == "usage: proofsketch [-h] {closure,answer,eval,ablate,report} ..."
+        if last_line is not None:
+            assert lines[-1].startswith(last_line)
+
+    def test_command_help_is_the_command_usage(self, capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["answer", "-h"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == cli._parsers()[1]["answer"].format_help()
 
     def test_threads_parse_like_serial(self, theory_file, dataset, tmp_path) -> None:
         argvs = []
@@ -1056,17 +1096,22 @@ class TestSharedParser:
                 ["report", str(tmp_path / str(i)), "--format", ("md", "csv", "json")[i % 3]],
             ]
         serial = [vars(build_parser().parse_args(argv)) for argv in argvs]
+        # main() parses each line once, by its command's parser, which sets
+        # everything the full parse does but the command name.
+        once = [vars(cli._parse_args(argv)) for argv in argvs]
+        assert once == [{k: v for k, v in args.items() if k != "command"} for args in serial]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(lambda a: vars(build_parser().parse_args(a)), argv)
-                           for argv in argvs]
+                futures = [pool.submit(lambda a, parse: vars(parse(a)), argv, parse)
+                           for argv in argvs
+                           for parse in (build_parser().parse_args, cli._parse_args)]
                 threaded = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
         assert len({repr(args) for args in serial}) == len(argvs) == 200
-        assert threaded == serial
+        assert threaded == [args for pair in zip(serial, once) for args in pair]
 
 
 def _subprocess_env() -> dict[str, str]:

@@ -360,6 +360,17 @@ class TestStructuredParsing:
             parse_theory_structured(doc)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("subject", ["", " ", "the"])
+    def test_subject_with_no_symbol_rejected(self, subject) -> None:
+        # Only "*" is universal: an empty subject is not a second spelling of it.
+        doc = {"facts": [], "rules": [{"subject": subject,
+                                       "body": [{"attribute": "big", "negated": False}],
+                                       "head": {"attribute": "kind", "negated": False}}]}
+        with pytest.raises(SchemaError) as excinfo:
+            parse_theory_structured(doc)
+        assert str(excinfo.value) == (
+            f"rules[0].subject: no symbol left after canonicalizing {subject!r}")
+
     def test_reserved_words_allowed_elsewhere(self) -> None:
         # Each word the sentence grammar reads specially is a plain name
         # where the text reads it back.
