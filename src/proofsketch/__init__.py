@@ -11,6 +11,6 @@ The package root exports only load_dataset; everything else is imported
 from the module that defines it.
 """
 
-from .harness import load_dataset
+from .dataset import load_dataset
 
 __version__ = "0.1.0"

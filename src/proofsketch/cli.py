@@ -1,4 +1,8 @@
-"""Command-line front end: closure, answer, eval, ablate, report."""
+"""Command-line front end: closure, answer, eval, ablate, report.
+
+Only eval, ablate and report import harness, each in its own handler, so
+closure and answer never load it.
+"""
 
 from __future__ import annotations
 
@@ -14,11 +18,10 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterator
 
 from .closure import Closure, forward_chain
+from .dataset import EmptyDatasetError, load_dataset
 from .generation import (PROMPT_VERSION, BASELINE_BUDGETS, EndpointError, GenerationResponse,
                          Generator, GeneratorError, HttpGenerator, Method, OracleGenerator,
                          OracleNoiseConfig, ScriptedGenerator)
-from .harness import (EmptyDatasetError, MetricsReport, ablation_csv, compute_metrics,
-                      emit_report, evaluate, load_dataset, run_ablation, write_run)
 from .selector import PipelineConfig, run_pipeline
 from .theory import (InconsistentFactsError, ParseError, Polarity, Question, SchemaError,
                      parse_question, parse_theory_nl, parse_theory_structured)
@@ -262,6 +265,8 @@ def _config_stamp(args: argparse.Namespace, config: PipelineConfig,
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .harness import compute_metrics, emit_report, evaluate, write_run
+
     config_doc, config = _load_config(args.config)
     methods = _METHOD_CHOICES[args.method]
     loaded = load_dataset(args.dataset)
@@ -299,6 +304,8 @@ def _parse_budgets(spec: str) -> list[int]:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
+    from .harness import ablation_csv, run_ablation
+
     config_doc, config = _load_config(args.config)
     budgets = _parse_budgets(args.budgets)
     loaded = load_dataset(args.dataset)
@@ -315,6 +322,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .harness import MetricsReport, emit_report
+
     doc = _read_json(Path(args.run_dir) / "metrics.json")
     report = MetricsReport.from_json_dict(doc)
     print(emit_report(report, args.format), end="")

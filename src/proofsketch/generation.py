@@ -39,7 +39,6 @@ changing any of it so run configuration stamps stay comparable.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import random
 import re
@@ -53,8 +52,6 @@ from urllib.parse import urlsplit
 
 from .closure import Closure, decide_from_closure, verified_literals
 from .theory import Label, Question, Theory
-
-logger = logging.getLogger(__name__)
 
 PROMPT_VERSION = "1"
 
@@ -360,11 +357,15 @@ class HttpGenerator:
                  backoff_base_s: float = 0.25,
                  backoff_jitter_s: float = 0.1) -> None:
         import http.client  # here, so that only the http backend loads it (and ssl)
+        import logging  # likewise: only the http backend logs
 
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if not 0 < timeout_ms <= sys.float_info.max:
             raise ValueError("timeout_ms must be a finite positive number")
+        # A socket timeout above the platform's largest wait overflows in settimeout.
+        if timeout_ms / 1000.0 > threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout_ms must be at most {threading.TIMEOUT_MAX * 1000.0:.0f}")
         try:
             parts = urlsplit(endpoint_url)
             parts.port  # ValueError on a port that is not a number in range
@@ -390,6 +391,7 @@ class HttpGenerator:
         # Idle kept-alive connections, the one returned last on top.
         self._idle: list[http.client.HTTPConnection] = []
         self.retries_total = 0
+        self._logger = logging.getLogger(__name__)
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -451,11 +453,11 @@ class HttpGenerator:
                 raise GenerationTimeout(overrun) from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_error = GeneratorError(f"transport failure: {exc}")
-                logger.debug("transport failure on attempt %d: %s", attempt + 1, exc)
+                self._logger.debug("transport failure on attempt %d: %s", attempt + 1, exc)
                 continue
             if status >= 500:
                 last_error = GeneratorError(f"server error {status}", status_code=status)
-                logger.debug("server error %d on attempt %d", status, attempt + 1)
+                self._logger.debug("server error %d on attempt %d", status, attempt + 1)
                 continue
             if status >= 300:
                 raise GeneratorError(f"request rejected with status {status}", status_code=status)

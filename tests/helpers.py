@@ -13,7 +13,7 @@ from typing import Any
 
 from proofsketch.theory import Literal, Polarity, Question, Rule, Theory, literal_sort_key
 from proofsketch.closure import Closure, decide_from_closure, forward_chain
-from proofsketch.harness import DatasetRecord
+from proofsketch.dataset import DatasetRecord
 
 ENTITY_POOL = ("anne", "bob", "carol", "dave", "erin", "fiona", "gary", "harry")
 ATTRIBUTE_POOL = ("big", "kind", "green", "quiet", "smart", "round",

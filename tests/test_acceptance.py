@@ -17,8 +17,9 @@ from proofsketch.generation import (Method, OracleGenerator, OracleNoiseConfig, 
                                     count_tokens, request_sketch)
 from proofsketch.selector import (AnswerSource, Certification, PipelineConfig, ScoreTuple,
                                   compare_scores, run_pipeline, select_budget)
-from proofsketch.harness import (DatasetRecord, compute_metrics, evaluate, nearest_rank_p95,
-                                 run_ablation, savings_percent, token_savings, write_run)
+from proofsketch.dataset import DatasetRecord
+from proofsketch.harness import (compute_metrics, evaluate, nearest_rank_p95, run_ablation,
+                                 savings_percent, token_savings, write_run)
 
 from helpers import brute_force_closure, random_question, random_theory, record_for
 from test_generation import _StubEndpoint, _ok_payload

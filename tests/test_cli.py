@@ -20,11 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from proofsketch import cli, generation
+from proofsketch import cli, generation, harness
 from proofsketch.cli import UsageError, _parse_budgets, _record_seed, build_parser, main
 from proofsketch.closure import decide_from_closure, forward_chain
 from proofsketch.generation import HttpGenerator, OracleGenerator, OracleNoiseConfig
-from proofsketch.harness import DatasetRecord, ablation_csv, load_dataset, run_ablation
+from proofsketch.dataset import DatasetRecord, load_dataset
+from proofsketch.harness import ablation_csv, run_ablation
 from proofsketch.selector import PipelineConfig
 from proofsketch.theory import parse_theory_nl
 
@@ -422,6 +423,12 @@ class TestUserErrors:
          ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
           "--model", "m"],
          "config file has unknown key(s): model_name"),
+        # Finite, but too long a wait for a socket timeout.
+        *(({"timeout_ms": timeout_ms},
+           ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+            "--model", "m"],
+           f"config file: timeout_ms must be at most {threading.TIMEOUT_MAX * 1000:.0f}")
+          for timeout_ms in (1e14, 1e300)),
     ])
     def test_config_value_types(self, theory_file, dataset, tmp_path, capsys, doc, backend,
                                 message) -> None:
@@ -442,7 +449,7 @@ class TestUserErrors:
     def test_workers_ceiling(self, dataset, capsys, monkeypatch, command, workers) -> None:
         # Rejected before any pool exists: never start one this large.
         for name in ("evaluate", "run_ablation"):
-            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("a pool was started"))
+            monkeypatch.setattr(harness, name, lambda *a, **k: pytest.fail("a pool was started"))
         threads = threading.active_count()
         assert main([command, str(dataset), "--workers", workers]) == 2
         assert _error_line(capsys) == "proofsketch: error: --workers must be between 1 and 64"
@@ -1133,16 +1140,42 @@ def test_runtime_imports_only_stdlib() -> None:
 
 
 def test_loading_a_dataset_starts_no_transport_or_pool(dataset) -> None:
-    # Only the http backend needs http.client, and only --workers above 1 a
-    # thread pool; diffed against a snapshot as above.
+    # Only the http backend needs http.client (and logging), and only --workers
+    # above 1 a thread pool; diffed against a snapshot as above. Loading a
+    # dataset needs no more of the package than the parsers and the closure.
     code = ("import sys; before = set(sys.modules); import proofsketch; "
-            f"proofsketch.load_dataset({str(dataset)!r}); import proofsketch.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+            f"proofsketch.load_dataset({str(dataset)!r}); "
+            "print(*sorted(set(sys.modules) - before)); "
+            "import proofsketch.cli; print(*sorted(set(sys.modules) - before))")
     completed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                check=True, timeout=60, env=_subprocess_env())
-    new = set(completed.stdout.split())
-    assert {"proofsketch.harness", "proofsketch.cli"} <= new
-    assert not new & {"http.client", "concurrent.futures"}
+    loaded, with_cli = (set(line.split()) for line in completed.stdout.splitlines())
+    assert {name for name in loaded if name.partition(".")[0] == "proofsketch"} == {
+        "proofsketch", "proofsketch.theory", "proofsketch.closure", "proofsketch.dataset"}
+    assert not loaded & {"logging", "http.client", "concurrent.futures"}
+    assert "proofsketch.cli" in with_cli
+    assert not with_cli & {"http.client", "concurrent.futures"}
+
+
+@pytest.mark.parametrize("command", [
+    ["answer", "{theory}", "--question", "Is Bob kind?"],
+    ["answer", "{theory}", "--question", "Is Anne round?"],
+    ["closure", "{theory}"],
+], ids=("answer-closure-decided", "answer-sampled", "closure"))
+def test_answer_and_closure_load_no_harness_or_logging(theory_file, command) -> None:
+    # As `python -m proofsketch.cli`, diffed against a snapshot as above.
+    argv = [arg.format(theory=theory_file) for arg in command]
+    code = ("import runpy, sys; before = set(sys.modules); "
+            f"sys.argv = ['proofsketch', *{argv!r}]\n"
+            "try: runpy.run_module('proofsketch.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc: status = exc.code\n"
+            "print(status, *sorted(set(sys.modules) - before), file=sys.stderr)")
+    completed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, timeout=60, env=_subprocess_env())
+    status, *new = completed.stderr.split()
+    assert status == "0" and completed.stdout.startswith("{")
+    assert "proofsketch.generation" in new
+    assert not set(new) & {"proofsketch.harness", "logging"}
 
 
 def test_closed_stdout_exits_quietly(theory_file) -> None:

@@ -624,6 +624,33 @@ class TestHttpGenerator:
             client.generate(REQUEST)
         assert client.retries_total == 1
 
+    def test_transport_failure_logged(self, caplog) -> None:
+        client = HttpGenerator("http://127.0.0.1:9/v1/chat/completions", "test-model",
+                               max_retries=1, backoff_base_s=0.01, backoff_jitter_s=0.0)
+        with caplog.at_level("DEBUG", logger="proofsketch.generation"):
+            with pytest.raises(GeneratorError):
+                client.generate(REQUEST)
+        assert [(record.name, record.levelname, record.getMessage().partition(": ")[0])
+                for record in caplog.records] == [
+            ("proofsketch.generation", "DEBUG", f"transport failure on attempt {attempt}")
+            for attempt in (1, 2)]
+
+    def test_server_error_logged(self, stub, caplog) -> None:
+        stub.plan(("status", 500), ("ok", _ok_payload("recovered")))
+        with caplog.at_level("DEBUG", logger="proofsketch.generation"):
+            assert _client(stub, max_retries=1).generate(REQUEST).text == "recovered"
+        assert [(record.name, record.levelname, record.getMessage())
+                for record in caplog.records] == [
+            ("proofsketch.generation", "DEBUG", "server error 500 on attempt 1")]
+
+    def test_longest_timeout_reaches_a_connection(self) -> None:
+        # The largest timeout_ms accepted is a socket timeout settimeout
+        # takes: the call gets as far as a refused connect.
+        client = HttpGenerator("http://127.0.0.1:9/v1/chat/completions", "test-model",
+                               timeout_ms=threading.TIMEOUT_MAX * 1000, max_retries=0)
+        with pytest.raises(GeneratorError, match="^transport failure: "):
+            client.generate(REQUEST)
+
     @pytest.mark.parametrize("endpoint", ["notaurl", "ftp://h/x", "http:///x"])
     def test_bad_endpoint_rejected_at_construction(self, endpoint) -> None:
         with pytest.raises(ValueError, match=re.escape(repr(endpoint))):
@@ -642,7 +669,8 @@ class TestHttpGenerator:
 
     @pytest.mark.parametrize("kwargs", [
         {"timeout_ms": 0}, {"timeout_ms": float("nan")}, {"timeout_ms": float("inf")},
-        {"timeout_ms": 10 ** 400}, {"max_retries": -1},
+        {"timeout_ms": 10 ** 400}, {"max_retries": -1}, {"timeout_ms": 1e14},
+        {"timeout_ms": 1e300},
     ])
     def test_invalid_settings_rejected(self, kwargs) -> None:
         with pytest.raises(ValueError) as excinfo:

@@ -17,11 +17,11 @@ from proofsketch.theory import Label, parse_question, parse_theory_nl
 from proofsketch.closure import forward_chain
 from proofsketch.generation import Method, OracleGenerator, OracleNoiseConfig, ScriptedGenerator
 from proofsketch.selector import PipelineConfig
-from proofsketch.harness import (AblationRow, DatasetRecord, EmptyDatasetError, EmptyInputError,
-                                 EvalRecord, MetricsReport, ablation_csv, compute_metrics,
-                                 emit_report, evaluate, extract_label, load_dataset,
-                                 nearest_rank_p95, run_ablation, run_baseline, run_proofsketch,
-                                 savings_percent, token_savings, write_run)
+from proofsketch.dataset import DatasetRecord, EmptyDatasetError, RejectedLine, load_dataset
+from proofsketch.harness import (AblationRow, EmptyInputError, EvalRecord, MetricsReport,
+                                 ablation_csv, compute_metrics, emit_report, evaluate,
+                                 extract_label, nearest_rank_p95, run_ablation, run_baseline,
+                                 run_proofsketch, savings_percent, token_savings, write_run)
 
 from helpers import record_for
 
@@ -483,8 +483,6 @@ class TestWriteRun:
     def test_run_directory_layout(self, tmp_path) -> None:
         rows = table_fixture_records()[:10]
         report = compute_metrics(rows)
-        from proofsketch.harness import RejectedLine
-
         out = write_run(
             tmp_path / "run",
             config_stamp={"seed": 7, "methods": ["ProofSketch"]},
