@@ -1,7 +1,9 @@
 """Command-line front end: closure, answer, eval, ablate, report.
 
-Only eval, ablate and report import harness, each in its own handler, so
-closure and answer never load it.
+Each handler imports the modules only it needs: eval, ablate and report
+import harness, and answer, eval and ablate the generation stack
+(generation, selector, sketch). So closure loads neither, nor the
+dataclasses module, and answer never loads harness.
 """
 
 from __future__ import annotations
@@ -13,28 +15,27 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
-from typing import Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 
 from .closure import Closure, forward_chain
 from .dataset import EmptyDatasetError, load_dataset
-from .generation import (PROMPT_VERSION, BASELINE_BUDGETS, EndpointError, GenerationResponse,
-                         Generator, GeneratorError, HttpGenerator, Method, OracleGenerator,
-                         OracleNoiseConfig, ScriptedGenerator)
-from .selector import PipelineConfig, run_pipeline
 from .theory import (InconsistentFactsError, ParseError, Polarity, Question, SchemaError,
                      parse_question, parse_theory_nl, parse_theory_structured)
 
+if TYPE_CHECKING:
+    from .generation import GenerationResponse, Generator, Method
+    from .selector import PipelineConfig
+
+# The --method choices, each with the name of the Method it runs; "all" runs every Method.
 _METHOD_CHOICES = {
-    "zero": [Method.ZERO_SHOT],
-    "short": [Method.SHORT_COT],
-    "long": [Method.LONG_COT],
-    "sketch": [Method.PROOFSKETCH],
-    "all": list(Method),
+    "zero": "ZERO_SHOT",
+    "short": "SHORT_COT",
+    "long": "LONG_COT",
+    "sketch": "PROOFSKETCH",
+    "all": None,
 }
 
-_PIPELINE_KEYS = {f.name for f in dataclass_fields(PipelineConfig)}
 # The --config keys passed to HttpGenerator as they are; its signature
 # holds their defaults.
 _HTTP_KEYS = {"api_key_env", "timeout_ms", "max_retries"}
@@ -66,9 +67,17 @@ class UsageError(Exception):
     """A command-line argument or config value the command cannot run with."""
 
 
-# Bad input from the user: one stderr line and exit status 2.
+# Bad input from the user: one stderr line and exit status 2. So is a
+# GeneratorError; see _user_errors.
 _USER_ERRORS = (UsageError, OSError, ParseError, SchemaError, InconsistentFactsError,
-                EmptyDatasetError, GeneratorError)
+                EmptyDatasetError)
+
+
+def _user_errors() -> tuple[type[Exception], ...]:
+    """_USER_ERRORS, and GeneratorError once generation is loaded: only a
+    command that loaded it can raise one, so closure need not load it."""
+    generation = sys.modules.get(f"{__package__}.generation")
+    return _USER_ERRORS if generation is None else (*_USER_ERRORS, generation.GeneratorError)
 
 
 def _read_text(path: str | Path) -> str:
@@ -120,17 +129,27 @@ def _load_closure(path: str) -> Closure:
         return _closure_of(text, path.endswith(".json"))
 
 
-# PipelineConfig is frozen, so every command without --config shares one.
-_DEFAULT_CONFIG = PipelineConfig()
-
 # JSONEncoder.encode keeps nothing between calls, so commands share one.
 _INDENTED_JSON = json.JSONEncoder(indent=2)
+
+
+@functools.cache
+def _default_config() -> PipelineConfig:
+    """The PipelineConfig of a command without --config. PipelineConfig is
+    frozen, so every such command shares one."""
+    from .selector import PipelineConfig
+
+    return PipelineConfig()
 
 
 def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
     """The --config document, type-checked, and the PipelineConfig it sets."""
     if not path:
-        return {}, _DEFAULT_CONFIG
+        return {}, _default_config()
+    from dataclasses import fields
+
+    from .selector import PipelineConfig
+
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
@@ -144,8 +163,9 @@ def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
         # Also rejects NaN, and integers too large for a float.
         if float in types and not abs(value) <= sys.float_info.max:
             raise SchemaError(f"config key {key!r} must be a finite number")
+    pipeline_keys = {field.name for field in fields(PipelineConfig)}
     try:
-        return doc, PipelineConfig(**{key: doc[key] for key in doc.keys() & _PIPELINE_KEYS})
+        return doc, PipelineConfig(**{key: doc[key] for key in doc.keys() & pipeline_keys})
     except ValueError as exc:
         raise UsageError(f"config file: {exc}") from exc
 
@@ -155,7 +175,7 @@ def _record_seed(base_seed: int, record_id: str) -> int:
     return (base_seed * 1_000_003) ^ zlib.crc32(record_id.encode("utf-8"))
 
 
-GeneratorMaker = Callable[[Closure, Question, int, Hashable], Generator]
+GeneratorMaker = Callable[[Closure, Question, int, Hashable], "Generator"]
 
 
 @contextlib.contextmanager
@@ -165,6 +185,9 @@ def _generator_for(args: argparse.Namespace, config_doc: dict) -> Iterator[Gener
     question; the http one closes its connections when the command is done.
     The oracle backend is one cursor per call, and the cursors of one
     record id share its first reply for the life of the command."""
+    from .generation import (EndpointError, HttpGenerator, OracleGenerator, OracleNoiseConfig,
+                             ScriptedGenerator)
+
     if args.backend == "scripted":
         if not args.script:
             raise UsageError("--backend scripted requires --script <file>")
@@ -240,6 +263,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 
 def _cmd_answer(args: argparse.Namespace) -> int:
+    from .selector import run_pipeline
+
     config_doc, config = _load_config(args.config)
     closure = _load_closure(args.theory_file)
     question = parse_question(args.question)
@@ -252,6 +277,10 @@ def _cmd_answer(args: argparse.Namespace) -> int:
 
 def _config_stamp(args: argparse.Namespace, config: PipelineConfig,
                   methods: list[Method]) -> dict:
+    from dataclasses import asdict
+
+    from .generation import BASELINE_BUDGETS, PROMPT_VERSION
+
     return {
         "prompt_version": PROMPT_VERSION,
         "backend": args.backend,
@@ -265,10 +294,12 @@ def _config_stamp(args: argparse.Namespace, config: PipelineConfig,
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .generation import Method
     from .harness import compute_metrics, emit_report, evaluate, write_run
 
     config_doc, config = _load_config(args.config)
-    methods = _METHOD_CHOICES[args.method]
+    member = _METHOD_CHOICES[args.method]
+    methods = list(Method) if member is None else [Method[member]]
     loaded = load_dataset(args.dataset)
     with _generator_for(args, config_doc) as make:
         results = evaluate(loaded.records, methods, config, _per_record(args, make),
@@ -408,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         # docs advise, with stdout on devnull so the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _USER_ERRORS as exc:
+    except _user_errors() as exc:
         message = " ".join(str(exc).split())
         print(f"proofsketch: error: {message}", file=sys.stderr)
         return 2

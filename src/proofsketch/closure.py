@@ -32,9 +32,8 @@ verified_literals lists the literals about one entity that verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .theory import Label, Literal, Polarity, Question, Rule, Theory
 
@@ -45,17 +44,27 @@ class VerdictStatus(str, Enum):
     UNSUPPORTED = "Unsupported"
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(NamedTuple):
     """Derivable literals as entity -> (attribute, polarity) -> depth.
 
     theory is the theory the closure was computed from, so a closure is
-    everything a question about that theory needs.
+    everything a question about that theory needs. Closures compare on
+    table and contradictory only, and are unhashable, as the table is a
+    dict.
     """
 
     table: Mapping[str, Mapping[tuple[str, Polarity], int]]
     contradictory: bool
-    theory: Theory = field(compare=False)
+    theory: Theory
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table and self.contradictory == other.contradictory
+
+    # tuple's own != would compare theory too; object's negates __eq__.
+    __ne__ = object.__ne__
+    __hash__ = None
 
 
 _NO_PAIRS: Mapping[tuple[str, Polarity], int] = {}

@@ -9,14 +9,16 @@ each distinct theory text once; every record about that theory shares
 the closure, which every method then reads instead of the text.
 
 This module imports only the parsers and the closure, so a fresh
-interpreter can load a dataset without loading the generation stack.
+interpreter can load a dataset without loading the generation stack. Its
+record types are named tuples, like the values of those modules, so
+loading a dataset does not load the dataclasses module either.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from os import PathLike
+from typing import NamedTuple
 
 from .closure import Closure, forward_chain
 from .theory import Label, Question, parse_question, parse_theory_nl
@@ -26,8 +28,7 @@ class EmptyDatasetError(ValueError):
     """No dataset line survived validation."""
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
+class DatasetRecord(NamedTuple):
     record_id: str
     closure: Closure
     question: Question
@@ -35,14 +36,12 @@ class DatasetRecord:
     depth: int | None = None
 
 
-@dataclass(frozen=True)
-class RejectedLine:
+class RejectedLine(NamedTuple):
     line_number: int
     reason: str
 
 
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(NamedTuple):
     """Validated records plus the rejects report; together they cover
     every non-blank line of the file."""
 

@@ -147,7 +147,6 @@ class GenerationRequest:
 class GenerationResponse:
     text: str
     completion_tokens: int
-    latency_ms: float = 0.0
 
 
 class Generator(Protocol):
@@ -390,7 +389,6 @@ class HttpGenerator:
         self._lock = threading.Lock()
         # Idle kept-alive connections, the one returned last on top.
         self._idle: list[http.client.HTTPConnection] = []
-        self.retries_total = 0
         self._logger = logging.getLogger(__name__)
 
     def _headers(self) -> dict[str, str]:
@@ -403,7 +401,7 @@ class HttpGenerator:
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
-    def _extract(self, data: dict, latency_ms: float) -> GenerationResponse:
+    def _extract(self, data: dict) -> GenerationResponse:
         try:
             choice = data["choices"][0]
         except (KeyError, IndexError, TypeError) as exc:
@@ -416,7 +414,7 @@ class HttpGenerator:
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
         if not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0:
             tokens = count_tokens(text)
-        return GenerationResponse(text=text, completion_tokens=tokens, latency_ms=latency_ms)
+        return GenerationResponse(text=text, completion_tokens=tokens)
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         import http.client  # loaded by __init__; this binds the name
@@ -429,8 +427,7 @@ class HttpGenerator:
             "temperature": request.temperature,
         }).encode("utf-8")
         headers = self._headers()
-        started = time.perf_counter()
-        deadline = started + self._timeout_s
+        deadline = time.perf_counter() + self._timeout_s
         overrun = f"no response within {self._timeout_s * 1000:.0f} ms"
         for attempt in range(self._max_retries + 1):
             if attempt:
@@ -439,8 +436,6 @@ class HttpGenerator:
                 if time.perf_counter() + delay >= deadline:
                     raise GenerationTimeout(
                         f"{overrun}; last attempt: {last_error}") from last_error
-                with self._lock:
-                    self.retries_total += 1
                 time.sleep(delay)
             with self._lock:
                 idle = self._idle.pop() if self._idle else None
@@ -465,8 +460,7 @@ class HttpGenerator:
                 data = json.loads(data)
             except (ValueError, RecursionError) as exc:
                 raise GeneratorError("completion payload is not JSON") from exc
-            latency_ms = (time.perf_counter() - started) * 1000.0
-            return self._extract(data, latency_ms)
+            return self._extract(data)
         assert last_error is not None
         raise last_error
 

@@ -46,15 +46,20 @@ take their names as given.
 
 A Theory holds its asserted facts of both polarities in one literal set;
 a fact asserted together with its negation is rejected at construction.
+
+Literal, Rule and Question are named tuples and Theory is a slotted
+class, all immutable, so importing this module loads no dataclasses
+machinery. Literal and Rule compare and hash as the tuples of their
+fields; Theory and Question compare on what they say, not on the text
+they were read from.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Iterable, NamedTuple
 
 _ARTICLES = ("the", "a", "an")
 _WS_RE = re.compile(r"\s+")
@@ -65,18 +70,22 @@ _HYPHEN_RUN_RE = re.compile(r"-{2,}")
 # claims repeat them again.
 _SYMBOL_CACHE_SIZE = 4096
 
-_FACT_RE = re.compile(r"^(?P<subj>.+?)\s+is\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE)
-_IF_RE = re.compile(r"^if\s+(?P<body>.+?)\s+then\s+(?P<head>.+)$", re.IGNORECASE)
+# DOTALL lets '.' match a line break, which is whitespace inside a sentence.
+_FACT_RE = re.compile(
+    r"^(?P<subj>.+?)\s+is\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE | re.DOTALL
+)
+_IF_RE = re.compile(r"^if\s+(?P<body>.+?)\s+then\s+(?P<head>.+)$", re.IGNORECASE | re.DOTALL)
 _AND_RE = re.compile(r"\s+and\s+", re.IGNORECASE)
 _ALL_RE = re.compile(
     r"^all\s+(?P<attrs>.+?)\s+(?:people|things)\s+are\s+(?:(?P<neg>not)\s+)?(?P<head>.+)$",
-    re.IGNORECASE,
+    re.IGNORECASE | re.DOTALL,
 )
 _COND_FULL_RE = re.compile(
-    r"^(?P<ref>.+?)\s+(?:is|are)\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE
+    r"^(?P<ref>.+?)\s+(?:is|are)\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$",
+    re.IGNORECASE | re.DOTALL,
 )
 _COND_BARE_RE = re.compile(
-    r"^(?:(?:is|are)\s+)?(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE
+    r"^(?:(?:is|are)\s+)?(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE | re.DOTALL
 )
 
 _UNIVERSAL_SUBJECTS = frozenset({"someone", "something"})
@@ -157,8 +166,7 @@ _NEGATED = {Polarity.POSITIVE: Polarity.NEGATIVE, Polarity.NEGATIVE: Polarity.PO
 _LABEL_WORDS = {label.value.lower(): label for label in Label}
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """One polarized attribute assertion about one entity."""
 
     entity: str
@@ -181,60 +189,98 @@ def literal_sort_key(literal: Literal) -> tuple[str, str, str]:
     return (literal.entity, literal.attribute, literal.polarity.value)
 
 
-@dataclass(frozen=True)
-class Rule:
+class _RuleFields(NamedTuple):
+    subject: str | None
+    body: tuple[tuple[str, Polarity], ...]
+    head: tuple[str, Polarity]
+
+
+class Rule(_RuleFields):
     """Definite clause over one subject's attributes.
 
     subject is a canonical entity name, or None when the rule ranges over
     every entity the theory mentions. body conditions and the head are
     (attribute, polarity) pairs. A rule with an empty body, a repeated
-    condition, or a head among its conditions raises ParseError.
+    condition, or a head among its conditions raises ParseError, however
+    it is built: _make, and so _replace, construct through __new__.
     """
 
-    subject: str | None
-    body: tuple[tuple[str, Polarity], ...]
-    head: tuple[str, Polarity]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.body:
+    def __new__(cls, subject: str | None, body: tuple[tuple[str, Polarity], ...],
+                head: tuple[str, Polarity]) -> "Rule":
+        if not body:
             raise ParseError("rule body must have at least one condition")
         seen: set[tuple[str, Polarity]] = set()
-        for attribute, polarity in self.body:
+        for attribute, polarity in body:
             if (attribute, polarity) in seen:
                 raise ParseError(f"duplicate body condition {attribute!r}")
             seen.add((attribute, polarity))
-        if self.head in seen:
-            raise ParseError(f"rule head {self.head[0]!r} repeats a body condition")
+        if head in seen:
+            raise ParseError(f"rule head {head[0]!r} repeats a body condition")
+        return super().__new__(cls, subject, body, head)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "Rule":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
 class Theory:
     """Asserted facts of either polarity plus rules.
 
-    The entity and attribute vocabularies are computed once, at
-    construction: claim canonicalization checks them for every claim.
+    A Theory is immutable. It compares and hashes on its facts and rules
+    only; source_text is the text it was parsed from, if any. The entity
+    and attribute vocabularies are computed once, at construction: claim
+    canonicalization checks them for every claim.
     """
 
-    facts: frozenset[Literal]
-    rules: tuple[Rule, ...] = ()
-    source_text: str | None = field(default=None, compare=False)
-    _entities: frozenset[str] = field(init=False, repr=False, compare=False)
-    _attributes: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("facts", "rules", "source_text", "_entities", "_attributes")
 
-    def __post_init__(self) -> None:
-        denied = {(l.entity, l.attribute) for l in self.facts if not l.positive}
-        clash = min(((l.entity, l.attribute) for l in self.facts
+    facts: frozenset[Literal]
+    rules: tuple[Rule, ...]
+    source_text: str | None
+
+    def __init__(self, facts: frozenset[Literal], rules: tuple[Rule, ...] = (),
+                 source_text: str | None = None) -> None:
+        denied = {(l.entity, l.attribute) for l in facts if not l.positive}
+        clash = min(((l.entity, l.attribute) for l in facts
                      if l.positive and (l.entity, l.attribute) in denied), default=None)
         if clash is not None:
             raise InconsistentFactsError(f"both polarities asserted for ({clash[0]}, {clash[1]})")
-        entities = {literal.entity for literal in self.facts}
-        entities.update(rule.subject for rule in self.rules if rule.subject is not None)
-        attributes = {literal.attribute for literal in self.facts}
-        for rule in self.rules:
+        entities = {literal.entity for literal in facts}
+        entities.update(rule.subject for rule in rules if rule.subject is not None)
+        attributes = {literal.attribute for literal in facts}
+        for rule in rules:
             attributes.update(attribute for attribute, _ in rule.body)
             attributes.add(rule.head[0])
-        object.__setattr__(self, "_entities", frozenset(entities))
-        object.__setattr__(self, "_attributes", frozenset(attributes))
+        set_field = object.__setattr__  # this class's own __setattr__ refuses
+        set_field(self, "facts", facts)
+        set_field(self, "rules", rules)
+        set_field(self, "source_text", source_text)
+        set_field(self, "_entities", frozenset(entities))
+        set_field(self, "_attributes", frozenset(attributes))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.facts == other.facts and self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash((self.facts, self.rules))
+
+    def __repr__(self) -> str:
+        return (f"Theory(facts={self.facts!r}, rules={self.rules!r}, "
+                f"source_text={self.source_text!r})")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, not through __setattr__.
+        return Theory, (self.facts, self.rules, self.source_text)
 
     def entities(self) -> frozenset[str]:
         """Entities named by facts or by a concrete rule subject."""
@@ -255,12 +301,23 @@ class Theory:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Question:
-    """A single entity/attribute query with its original wording."""
+class Question(NamedTuple):
+    """A single entity/attribute query with its original wording.
+    Questions compare and hash on their target only."""
 
     target: Literal
-    raw_text: str = field(default="", compare=False)
+    raw_text: str = ""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.target == other.target
+
+    # tuple's own != would compare raw_text too; object's negates __eq__.
+    __ne__ = object.__ne__
+
+    def __hash__(self) -> int:
+        return hash((self.target,))
 
 
 def _capitalize(sentence: str) -> str:
@@ -360,11 +417,11 @@ def parse_theory_nl(text: str) -> Theory:
     facts: set[Literal] = set()
     rules: list[Rule] = []
     for index, sentence in enumerate(_split_sentences(text)):
-        lowered = sentence.lower()
+        keyword = sentence.split(None, 1)[0].lower()
         try:
-            if lowered.startswith("if "):
+            if keyword == "if":
                 rules.append(_parse_rule_if(sentence))
-            elif lowered.startswith("all "):
+            elif keyword == "all":
                 rules.append(_parse_rule_all(sentence))
             else:
                 facts.add(_parse_fact(sentence))

@@ -1129,8 +1129,9 @@ def _subprocess_env() -> dict[str, str]:
 
 def test_runtime_imports_only_stdlib() -> None:
     # Diffed against a snapshot: site hooks may preload third-party modules
-    # before any package import.
-    code = ("import sys; before = set(sys.modules); import proofsketch.cli; "
+    # before any package import. cli loads the rest of the package in its
+    # handlers, and harness loads all of it.
+    code = ("import sys; before = set(sys.modules); import proofsketch.cli, proofsketch.harness; "
             "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
     completed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                check=True, timeout=60, env=_subprocess_env())
@@ -1142,7 +1143,8 @@ def test_runtime_imports_only_stdlib() -> None:
 def test_loading_a_dataset_starts_no_transport_or_pool(dataset) -> None:
     # Only the http backend needs http.client (and logging), and only --workers
     # above 1 a thread pool; diffed against a snapshot as above. Loading a
-    # dataset needs no more of the package than the parsers and the closure.
+    # dataset needs no more of the package than the parsers and the closure,
+    # whose value types need no dataclasses (nor the inspect it loads).
     code = ("import sys; before = set(sys.modules); import proofsketch; "
             f"proofsketch.load_dataset({str(dataset)!r}); "
             "print(*sorted(set(sys.modules) - before)); "
@@ -1152,7 +1154,7 @@ def test_loading_a_dataset_starts_no_transport_or_pool(dataset) -> None:
     loaded, with_cli = (set(line.split()) for line in completed.stdout.splitlines())
     assert {name for name in loaded if name.partition(".")[0] == "proofsketch"} == {
         "proofsketch", "proofsketch.theory", "proofsketch.closure", "proofsketch.dataset"}
-    assert not loaded & {"logging", "http.client", "concurrent.futures"}
+    assert not loaded & {"logging", "http.client", "concurrent.futures", "dataclasses", "inspect"}
     assert "proofsketch.cli" in with_cli
     assert not with_cli & {"http.client", "concurrent.futures"}
 
@@ -1174,8 +1176,13 @@ def test_answer_and_closure_load_no_harness_or_logging(theory_file, command) -> 
                                check=True, timeout=60, env=_subprocess_env())
     status, *new = completed.stderr.split()
     assert status == "0" and completed.stdout.startswith("{")
-    assert "proofsketch.generation" in new
     assert not set(new) & {"proofsketch.harness", "logging"}
+    generation_stack = {"proofsketch.generation", "proofsketch.selector", "proofsketch.sketch",
+                        "dataclasses"}
+    if command[0] == "closure":
+        assert not set(new) & generation_stack
+    else:
+        assert "proofsketch.generation" in new
 
 
 def test_closed_stdout_exits_quietly(theory_file) -> None:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
-from proofsketch.closure import (VerdictStatus, decide_from_closure, forward_chain,
+from proofsketch.closure import (Closure, VerdictStatus, decide_from_closure, forward_chain,
                                  verified_literals, verify_claim)
 
 from helpers import (brute_force_closure, closure_depths, closure_table, random_question,
@@ -189,6 +189,18 @@ def parse_theory_structured_with_rules(theory, rules):
     from proofsketch.theory import Theory
 
     return Theory(facts=theory.facts, rules=rules)
+
+
+class TestClosureValue:
+    def test_compares_on_table_and_contradictory_only(self) -> None:
+        closure = forward_chain(parse_theory_nl("Anne is big. If anne is big then anne is red."))
+        other = Closure(closure.table, closure.contradictory, parse_theory_nl("Bob is red."))
+        assert closure == other and not closure != other
+        assert closure != Closure(closure.table, True, closure.theory)
+
+    def test_unhashable(self) -> None:
+        with pytest.raises(TypeError):
+            hash(forward_chain(parse_theory_nl("Anne is big.")))
 
 
 class TestDeepChain:

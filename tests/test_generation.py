@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofsketch import generation
-from proofsketch.theory import Label, parse_question, parse_theory_nl
+from proofsketch.theory import Label, Theory, parse_question, parse_theory_nl
 from proofsketch.closure import forward_chain
 from proofsketch.sketch import ParseStatus, parse_sketch
 from proofsketch.generation import (BASELINE_BUDGETS, EndpointError, GenerationRequest,
@@ -54,9 +54,7 @@ class TestPrompts:
         assert "at most 3 claims" in prompt
 
     def test_sketch_prompt_renders_theory_without_source(self) -> None:
-        from dataclasses import replace
-
-        stripped = replace(THEORY, source_text=None)
+        stripped = Theory(THEORY.facts, THEORY.rules)
         prompt = build_sketch_prompt(stripped, QUESTION)
         assert "Anne is big." in prompt
 
@@ -533,7 +531,6 @@ class TestHttpGenerator:
         response = _client(stub).generate(REQUEST)
         assert response.text == "hello there"
         assert response.completion_tokens == 7
-        assert response.latency_ms > 0
 
     def test_request_payload_shape(self, stub) -> None:
         stub.plan(("ok", _ok_payload("hi")))
@@ -560,7 +557,6 @@ class TestHttpGenerator:
         client = _client(stub, max_retries=2)
         response = client.generate(REQUEST)
         assert response.text == "recovered"
-        assert client.retries_total == 2
         assert len(stub.requests) == 3
 
     def test_server_errors_exhaust_retries(self, stub) -> None:
@@ -579,7 +575,6 @@ class TestHttpGenerator:
         with pytest.raises(GeneratorError) as excinfo:
             client.generate(REQUEST)
         assert excinfo.value.status_code == status
-        assert client.retries_total == 0
         assert len(stub.requests) == 1
 
     def test_timeout_raises_timeout_type(self, stub) -> None:
@@ -611,8 +606,9 @@ class TestHttpGenerator:
         with pytest.raises(GeneratorError, match="^completion payload has no text content$"):
             _client(stub).generate(REQUEST)
 
-    def test_transport_failure_retried(self) -> None:
-        # Nothing listens on this port; every attempt fails at connect.
+    def test_transport_failure_retried(self, monkeypatch) -> None:
+        # Nothing listens on this port; every attempt fails at connect, and
+        # each retry first sleeps its backoff.
         client = HttpGenerator(
             "http://127.0.0.1:9/v1/chat/completions",
             "test-model",
@@ -620,9 +616,11 @@ class TestHttpGenerator:
             backoff_base_s=0.01,
             backoff_jitter_s=0.0,
         )
+        slept: list[float] = []
+        monkeypatch.setattr(time, "sleep", slept.append)
         with pytest.raises(GeneratorError):
             client.generate(REQUEST)
-        assert client.retries_total == 1
+        assert slept == [0.01]
 
     def test_transport_failure_logged(self, caplog) -> None:
         client = HttpGenerator("http://127.0.0.1:9/v1/chat/completions", "test-model",
@@ -773,7 +771,6 @@ class TestDeadline:
                                                     "last attempt: server error 503$") as excinfo:
             client.generate(REQUEST)
         assert excinfo.value.__cause__.status_code == 503
-        assert client.retries_total == 0
         assert len(stub.requests) == 1
 
 
@@ -824,7 +821,6 @@ class TestKeepAlive:
         monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
         assert client.generate(REQUEST).text == "two"
         assert client.generate(REQUEST).text == "three"
-        assert client.retries_total == 0
         assert stub.connections == 2
         assert len(stub.requests) == 3
 

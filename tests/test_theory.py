@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 
@@ -90,6 +92,10 @@ class TestPolarityAndLiteral:
         assert Literal("anne", "kind", Polarity.POSITIVE) != Literal(
             "anne", "kind", Polarity.NEGATIVE
         )
+        # The hash of the field tuple, so set iteration order, and with it
+        # every output, does not depend on how Literal is defined.
+        assert hash(Literal("anne", "kind", Polarity.POSITIVE)) == hash(
+            ("anne", "kind", Polarity.POSITIVE))
 
     def test_to_text(self) -> None:
         assert Literal("anne", "kind", Polarity.POSITIVE).to_text() == "anne is kind"
@@ -121,6 +127,14 @@ class TestRuleInvariants:
         )
         assert rule.subject is None
 
+    def test_checked_through_make_and_replace(self) -> None:
+        rule = Rule(None, (("big", Polarity.POSITIVE),), ("kind", Polarity.POSITIVE))
+        assert Rule._make(rule) == rule
+        with pytest.raises(ParseError):
+            Rule._make((None, (), ("kind", Polarity.POSITIVE)))
+        with pytest.raises(ParseError):
+            rule._replace(head=("big", Polarity.POSITIVE))
+
 
 class TestTheoryInvariants:
     def test_contradictory_facts_rejected(self) -> None:
@@ -132,6 +146,27 @@ class TestTheoryInvariants:
         theory = parse_theory_nl("Anne is big. If bob is big then bob is kind.")
         assert theory.entities() == {"anne", "bob"}
         assert theory.attributes() == {"big", "kind"}
+
+    @pytest.mark.parametrize("name", ["facts", "rules", "source_text", "_entities"])
+    def test_fields_cannot_be_assigned(self, name: str) -> None:
+        theory = parse_theory_nl("Anne is big.")
+        with pytest.raises(AttributeError):
+            setattr(theory, name, None)
+        assert theory.facts == {Literal("anne", "big", Polarity.POSITIVE)}
+
+    def test_copies_and_pickles(self) -> None:
+        theory = parse_theory_nl("Anne is big. If someone is big then they are kind.")
+        for twin in (copy.copy(theory), copy.deepcopy(theory),
+                     pickle.loads(pickle.dumps(theory))):
+            assert twin == theory and twin.source_text == theory.source_text
+            assert twin.entities() == theory.entities()
+
+    def test_source_text_is_not_compared_or_hashed(self) -> None:
+        parsed = parse_theory_nl("Anne is big. If someone is big then they are kind.")
+        bare = Theory(parsed.facts, parsed.rules)
+        assert parsed == bare and not parsed != bare
+        assert hash(parsed) == hash(bare)
+        assert parsed != Theory(parsed.facts)
 
 
 class TestNaturalLanguageParsing:
@@ -246,6 +281,18 @@ class TestNaturalLanguageParsing:
     def test_contradictory_assertions_rejected(self) -> None:
         with pytest.raises(InconsistentFactsError):
             parse_theory_nl("Anne is kind. Anne is not kind.")
+
+    @pytest.mark.parametrize("text", [
+        "Anne\nis big.",
+        "The bald\neagle is big.",
+        "Anne is big\nred.",
+        "If someone\nis big then they are red.",
+        "If someone is big\nthen they are red.",
+        "If\nsomeone is big then they are red.",
+        "All big\npeople are red.",
+    ])
+    def test_line_break_reads_as_a_space(self, text: str) -> None:
+        assert parse_theory_nl(text) == parse_theory_nl(text.replace("\n", " "))
 
     def test_source_text_kept(self) -> None:
         text = "Anne is kind."
@@ -486,6 +533,12 @@ class TestParseQuestion:
 
     def test_raw_text_preserved(self) -> None:
         assert parse_question("Is Anne kind?").raw_text == "Is Anne kind?"
+
+    def test_wording_is_not_compared_or_hashed(self) -> None:
+        declarative, interrogative = parse_question("Anne is kind."), parse_question("Is Anne kind?")
+        assert not declarative != interrogative
+        assert hash(declarative) == hash(interrogative)
+        assert declarative != parse_question("Is Anne big?")
 
     @pytest.mark.parametrize("text", ["Who is kind?", "", "Is kind?", "Anne likes Bob."])
     def test_rejected_forms(self, text: str) -> None:
