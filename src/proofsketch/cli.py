@@ -2,8 +2,8 @@
 
 Each handler imports the modules only it needs: eval, ablate and report
 import harness, and answer, eval and ablate the generation stack
-(generation, selector, sketch). So closure loads neither, nor the
-dataclasses module, and answer never loads harness.
+(generation, selector, sketch). So closure loads neither, and answer
+never loads harness.
 """
 
 from __future__ import annotations
@@ -105,22 +105,14 @@ def _read_json(path: str | Path):
         return json.loads(text)
 
 
-def _parse_theory(text: str, structured: bool):
-    return parse_theory_structured(json.loads(text)) if structured else parse_theory_nl(text)
-
-
-def _load_theory_file(path: str):
-    text = _read_text(path)
-    with _json_errors(path):
-        return _parse_theory(text, path.endswith(".json"))
-
-
 @functools.lru_cache(maxsize=_CLOSURE_CACHE_SIZE)
 def _closure_of(text: str, structured: bool) -> Closure:
-    """The closure of a theory file's text, for `answer`. A Closure is
-    read-only, so every answer about the same text may share one; a text
-    that fails to parse raises on every call, as nothing is cached then."""
-    return forward_chain(_parse_theory(text, structured))
+    """The closure of a theory file's text, for `answer` and `closure`. A
+    Closure is read-only, so every command about the same text may share
+    one; a text that fails to parse raises on every call, as nothing is
+    cached then."""
+    theory = parse_theory_structured(json.loads(text)) if structured else parse_theory_nl(text)
+    return forward_chain(theory)
 
 
 def _load_closure(path: str) -> Closure:
@@ -133,23 +125,12 @@ def _load_closure(path: str) -> Closure:
 _INDENTED_JSON = json.JSONEncoder(indent=2)
 
 
-@functools.cache
-def _default_config() -> PipelineConfig:
-    """The PipelineConfig of a command without --config. PipelineConfig is
-    frozen, so every such command shares one."""
-    from .selector import PipelineConfig
-
-    return PipelineConfig()
-
-
 def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
     """The --config document, type-checked, and the PipelineConfig it sets."""
-    if not path:
-        return {}, _default_config()
-    from dataclasses import fields
-
     from .selector import PipelineConfig
 
+    if not path:
+        return {}, PipelineConfig()
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
@@ -163,9 +144,9 @@ def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
         # Also rejects NaN, and integers too large for a float.
         if float in types and not abs(value) <= sys.float_info.max:
             raise SchemaError(f"config key {key!r} must be a finite number")
-    pipeline_keys = {field.name for field in fields(PipelineConfig)}
+    pipeline = {key: doc[key] for key in doc.keys() & PipelineConfig._fields}
     try:
-        return doc, PipelineConfig(**{key: doc[key] for key in doc.keys() & pipeline_keys})
+        return doc, PipelineConfig(**pipeline)
     except ValueError as exc:
         raise UsageError(f"config file: {exc}") from exc
 
@@ -245,8 +226,7 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    theory = _load_theory_file(args.theory_file)
-    closure = forward_chain(theory)
+    closure = _load_closure(args.theory_file)
     # Polarity is a str enum, so "negative" sorts before "positive".
     literals = [
         {
@@ -277,8 +257,6 @@ def _cmd_answer(args: argparse.Namespace) -> int:
 
 def _config_stamp(args: argparse.Namespace, config: PipelineConfig,
                   methods: list[Method]) -> dict:
-    from dataclasses import asdict
-
     from .generation import BASELINE_BUDGETS, PROMPT_VERSION
 
     return {
@@ -288,7 +266,7 @@ def _config_stamp(args: argparse.Namespace, config: PipelineConfig,
         "workers": getattr(args, "workers", 1),
         "methods": [m.value for m in methods],
         "baseline_budgets": {method.value: budget for method, budget in BASELINE_BUDGETS.items()},
-        "pipeline": {**asdict(config), "adaptive_budget": config.adaptive_budget},
+        "pipeline": {**config._asdict(), "adaptive_budget": config.adaptive_budget},
         "noise": {"flip": args.flip, "corrupt": args.corrupt, "malform": args.malform},
     }
 

@@ -9,9 +9,7 @@ each distinct theory text once; every record about that theory shares
 the closure, which every method then reads instead of the text.
 
 This module imports only the parsers and the closure, so a fresh
-interpreter can load a dataset without loading the generation stack. Its
-record types are named tuples, like the values of those modules, so
-loading a dataset does not load the dataclasses module either.
+interpreter can load a dataset without loading the generation stack.
 """
 
 from __future__ import annotations

@@ -45,9 +45,8 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Hashable, Protocol, Sequence
+from typing import Any, Hashable, Iterable, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .closure import Closure, decide_from_closure, verified_literals
@@ -130,21 +129,33 @@ class GenerationTimeout(GeneratorError, TimeoutError):
     """The endpoint did not answer within the configured deadline."""
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class _GenerationRequestFields(NamedTuple):
     prompt: str
     max_tokens: int
     temperature: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.max_tokens < 1:
+
+class GenerationRequest(_GenerationRequestFields):
+    """One completion request. A max_tokens below 1 or a temperature that
+    is not a finite non-negative number raises ValueError, however the
+    request is built: _make, and so _replace, construct through __new__."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "GenerationRequest":
+        request = super().__new__(cls, *args, **kwargs)
+        if request.max_tokens < 1:
             raise ValueError("max_tokens must be at least 1")
-        if not 0 <= self.temperature <= sys.float_info.max:
+        if not 0 <= request.temperature <= sys.float_info.max:
             raise ValueError("temperature must be a finite non-negative number")
+        return request
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "GenerationRequest":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True)
-class GenerationResponse:
+class GenerationResponse(NamedTuple):
     text: str
     completion_tokens: int
 
@@ -195,7 +206,7 @@ def request_sketch(generator: Generator, prompt: str, max_tokens: int,
     if response.completion_tokens <= max_tokens:
         return response
     text = truncate_to_tokens(response.text, max_tokens)
-    return replace(response, text=text, completion_tokens=min(max_tokens, count_tokens(text)))
+    return response._replace(text=text, completion_tokens=min(max_tokens, count_tokens(text)))
 
 
 class ScriptedGenerator:
@@ -232,19 +243,29 @@ class ScriptedGenerator:
         return GenerationResponse(text=text, completion_tokens=count_tokens(text))
 
 
-@dataclass(frozen=True)
-class OracleNoiseConfig:
-    """Corruption probabilities for the oracle; each OracleGenerator has its own seed."""
-
+class _OracleNoiseFields(NamedTuple):
     flip_answer_prob: float = 0.0
     corrupt_claim_prob: float = 0.0
     malform_prob: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("flip_answer_prob", "corrupt_claim_prob", "malform_prob"):
-            value = getattr(self, name)
+
+class OracleNoiseConfig(_OracleNoiseFields):
+    """Corruption probabilities for the oracle; each OracleGenerator has its own seed.
+    A probability outside [0, 1] raises ValueError, however the config is
+    built: _make, and so _replace, construct through __new__."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "OracleNoiseConfig":
+        noise = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(noise._fields, noise):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        return noise
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "OracleNoiseConfig":
+        return cls(*iterable)
 
 
 _MALFORMED_TEXT = "I am sorry, I could not produce a structured reply for this request."

@@ -17,9 +17,8 @@ import json
 import math
 import re
 import time
-from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 # load_dataset is bound here too, for callers that name harness.load_dataset.
 from .dataset import DatasetRecord, RejectedLine, load_dataset  # noqa: F401
@@ -33,8 +32,7 @@ class EmptyInputError(ValueError):
     """An aggregate was requested over zero records."""
 
 
-@dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(NamedTuple):
     record_id: str
     method: Method
     predicted: Label
@@ -48,19 +46,12 @@ class EvalRecord:
     sketch_scores: tuple[ScoreTuple, ...] | None = None
 
     def to_json_dict(self) -> dict:
-        row = {
-            "record_id": self.record_id,
-            "method": self.method.value,
-            "predicted": self.predicted.value,
-            "correct": self.correct,
-            "certified": self.certified,
-            "tokens": self.tokens,
-            "latency_ms": round(self.latency_ms, 3),
-            "generator_calls": self.generator_calls,
-            "answer_source": self.answer_source,
-            "unparseable": self.unparseable,
-        }
-        if self.sketch_scores is not None:
+        row = self._asdict()
+        row.update(method=self.method.value, predicted=self.predicted.value,
+                   latency_ms=round(self.latency_ms, 3))
+        if self.sketch_scores is None:
+            del row["sketch_scores"]
+        else:
             row["sketch_scores"] = [list(score) for score in self.sketch_scores]
         return row
 
@@ -156,8 +147,7 @@ def evaluate(records: Sequence[DatasetRecord], methods: Sequence[Method],
         return list(pool.map(run_one, pairs))
 
 
-@dataclass(frozen=True)
-class MethodMetrics:
+class MethodMetrics(NamedTuple):
     accuracy: float
     cert_rate: float
     mean_tokens: float
@@ -166,11 +156,10 @@ class MethodMetrics:
     n: int
 
 
-_REPORT_COLUMNS = tuple(field.name for field in fields(MethodMetrics))
+_REPORT_COLUMNS = MethodMetrics._fields
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Per-method metrics, and the ProofSketch token savings against each
     baseline in percent. compute_metrics works the savings out from the
     unrounded means; a report read back from metrics.json keeps the stored
@@ -182,7 +171,7 @@ class MetricsReport:
     def to_json_dict(self) -> dict:
         methods = {
             name: {column: value if column == "n" else round(value, 2)
-                   for column, value in asdict(metrics).items()}
+                   for column, value in metrics._asdict().items()}
             for name, metrics in sorted(self.per_method.items())
         }
         return {"methods": methods, "token_savings_percent": self.token_savings_percent}
@@ -268,8 +257,7 @@ def savings_percent(fraction: float) -> float:
     return round(100.0 * fraction, 1)
 
 
-@dataclass(frozen=True)
-class AblationRow:
+class AblationRow(NamedTuple):
     budget: str
     accuracy: float
     mean_tokens: float
@@ -289,9 +277,9 @@ def run_ablation(records: Sequence[DatasetRecord], budgets: Sequence[int],
         return AblationRow(label, metrics.accuracy, metrics.mean_tokens, metrics.cert_rate)
 
     for budget in budgets:
-        fixed = replace(config, fixed_budget=budget)
+        fixed = config._replace(fixed_budget=budget)
         rows.append(sketch_row(str(budget), fixed))
-    adaptive = replace(config, fixed_budget=None)
+    adaptive = config._replace(fixed_budget=None)
     rows.append(sketch_row("adaptive", adaptive))
     return rows
 

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .closure import Closure, VerdictStatus, decide_from_closure, verified_literals, verify_claim
 from .generation import (GenerationResponse, Generator, GeneratorError, build_sketch_prompt,
@@ -68,8 +67,7 @@ def compare_scores(a: ScoreTuple, b: ScoreTuple) -> int:
     return (a > b) - (a < b)
 
 
-@dataclass(frozen=True)
-class ScoredSketch:
+class ScoredSketch(NamedTuple):
     """One generated sketch with its verdicts and score: raw is the
     budget-clamped completion, and verdicts[i] is the verdict on
     parsed.claims[i]."""
@@ -80,8 +78,17 @@ class ScoredSketch:
     score: ScoreTuple
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineConfigFields(NamedTuple):
+    max_sketches: int = 4
+    budget_anchored: int = 120
+    budget_unanchored: int = 160
+    temperature: float = 0.3
+    fixed_budget: int | None = None
+    certify_unknown_from_closure: bool = False
+    closure_short_circuit: bool = True
+
+
+class PipelineConfig(_PipelineConfigFields):
     """Knobs for run_pipeline.
 
     max_sketches caps the sketches sampled per question; run_pipeline
@@ -98,26 +105,30 @@ class PipelineConfig:
     trusting the closure as complete for this fragment; it never applies
     when both polarities are derivable, since a contradictory theory must
     not certify anything.
+
+    A count or budget below 1, or a temperature that is not a finite
+    non-negative number, raises ValueError however the config is built:
+    _make, and so _replace, construct through __new__.
     """
 
-    max_sketches: int = 4
-    budget_anchored: int = 120
-    budget_unanchored: int = 160
-    temperature: float = 0.3
-    fixed_budget: int | None = None
-    certify_unknown_from_closure: bool = False
-    closure_short_circuit: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_sketches < 1:
+    def __new__(cls, *args: Any, **kwargs: Any) -> "PipelineConfig":
+        config = super().__new__(cls, *args, **kwargs)
+        if config.max_sketches < 1:
             raise ValueError("max_sketches must be at least 1")
         for name in ("budget_anchored", "budget_unanchored"):
-            if getattr(self, name) < 1:
+            if getattr(config, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.fixed_budget is not None and self.fixed_budget < 1:
+        if config.fixed_budget is not None and config.fixed_budget < 1:
             raise ValueError("fixed_budget must be at least 1")
-        if not 0 <= self.temperature <= sys.float_info.max:
+        if not 0 <= config.temperature <= sys.float_info.max:
             raise ValueError("temperature must be a finite non-negative number")
+        return config
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "PipelineConfig":
+        return cls(*iterable)
 
     @property
     def adaptive_budget(self) -> bool:
@@ -138,13 +149,12 @@ def select_budget(closure: Closure, question: Question, config: PipelineConfig) 
     return config.budget_unanchored
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     answer: Label
     verified_claims: tuple[Literal, ...]
     answer_source: AnswerSource
     latency_ms: float
-    sketches: tuple[ScoredSketch, ...] = field(default=(), compare=False)
+    sketches: tuple[ScoredSketch, ...] = ()
 
     @property
     def generator_calls(self) -> int:

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .theory import Label, Literal, ParseError, Question, Theory, _parse_fact
 
@@ -63,8 +62,7 @@ class ParseStatus(str, Enum):
     FAILED = "Failed"
 
 
-@dataclass(frozen=True)
-class ParsedSketch:
+class ParsedSketch(NamedTuple):
     """Decoded sketch: an answer plus canonical, deduplicated claims, none
     when Failed. parse_sketch makes it and guarantees both; anchor_claims
     only removes claims, adding each removed one to dropped_claims."""
@@ -223,5 +221,5 @@ def anchor_claims(parsed: ParsedSketch, question: Question) -> ParsedSketch:
     anchored = tuple(claim for claim in parsed.claims if claim.entity == question.target.entity)
     if len(anchored) == len(parsed.claims):
         return parsed
-    return replace(parsed, claims=anchored,
-                   dropped_claims=parsed.dropped_claims + len(parsed.claims) - len(anchored))
+    dropped = parsed.dropped_claims + len(parsed.claims) - len(anchored)
+    return parsed._replace(claims=anchored, dropped_claims=dropped)

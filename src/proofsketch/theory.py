@@ -48,9 +48,8 @@ A Theory holds its asserted facts of both polarities in one literal set;
 a fact asserted together with its negation is rejected at construction.
 
 Literal, Rule and Question are named tuples and Theory is a slotted
-class, all immutable, so importing this module loads no dataclasses
-machinery. Literal and Rule compare and hash as the tuples of their
-fields; Theory and Question compare on what they say, not on the text
+class, all immutable. Literal and Rule compare and hash as the tuples of
+their fields; Theory and Question compare on what they say, not on the text
 they were read from.
 """
 
@@ -382,9 +381,7 @@ def _parse_rule_if(sentence: str) -> Rule:
                 raise ParseError(f"rule condition subject {ref!r} does not match the rule subject")
             body.append(_condition(full["neg"], full["attr"]))
             continue
-        bare = _COND_BARE_RE.match(conjunct)
-        if not bare:
-            raise ParseError(f"unparseable rule condition {conjunct!r}")
+        bare = _COND_BARE_RE.match(conjunct)  # matches any non-empty conjunct
         body.append(_condition(bare["neg"], bare["attr"]))
 
     head_match = _COND_FULL_RE.match(match["head"])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import inspect
 import io
@@ -429,6 +428,8 @@ class TestUserErrors:
             "--model", "m"],
            f"config file: timeout_ms must be at most {threading.TIMEOUT_MAX * 1000:.0f}")
           for timeout_ms in (1e14, 1e300)),
+        ([], [], "config file must hold a JSON object"),
+        ({}, ["--backend", "http"], "--backend http requires --endpoint and --model"),
     ])
     def test_config_value_types(self, theory_file, dataset, tmp_path, capsys, doc, backend,
                                 message) -> None:
@@ -607,7 +608,7 @@ class TestUserErrors:
 
 class TestConfigKeys:
     def test_config_types_match_their_sources(self) -> None:
-        pipeline = {field.name for field in dataclasses.fields(PipelineConfig)}
+        pipeline = set(PipelineConfig._fields)
         assert not pipeline & cli._HTTP_KEYS
         assert set(cli._CONFIG_TYPES) == pipeline | cli._HTTP_KEYS
 
@@ -887,9 +888,17 @@ class TestSingleProducer:
     def test_noise_checked_once_per_command(self, command, dataset, theory_file, capsys,
                                             monkeypatch) -> None:
         checks: list = []
-        original = OracleNoiseConfig.__post_init__
-        monkeypatch.setattr(OracleNoiseConfig, "__post_init__",
-                            lambda noise: checks.append(noise) or original(noise))
+
+        class CountedNoise(OracleNoiseConfig):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                noise = super().__new__(cls, *args, **kwargs)
+                checks.append(noise)
+                return noise
+
+        # cli imports OracleNoiseConfig from generation when a command runs.
+        monkeypatch.setattr(generation, "OracleNoiseConfig", CountedNoise)
         argv = [arg.format(dataset=dataset, theory=theory_file) for arg in command]
         assert main([*argv, "--flip", "0.5", "--corrupt", "0.2", "--seed", "3"]) == 0
         assert len(checks) == 1
@@ -1138,6 +1147,9 @@ def test_runtime_imports_only_stdlib() -> None:
     new = set(completed.stdout.split())
     assert "proofsketch" in new
     assert new - {"proofsketch"} <= sys.stdlib_module_names
+    # Every value type is a named tuple or a slotted class, so nothing loads
+    # dataclasses, nor the modules it pulls in.
+    assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
 
 
 def test_loading_a_dataset_starts_no_transport_or_pool(dataset) -> None:
@@ -1176,9 +1188,8 @@ def test_answer_and_closure_load_no_harness_or_logging(theory_file, command) -> 
                                check=True, timeout=60, env=_subprocess_env())
     status, *new = completed.stderr.split()
     assert status == "0" and completed.stdout.startswith("{")
-    assert not set(new) & {"proofsketch.harness", "logging"}
-    generation_stack = {"proofsketch.generation", "proofsketch.selector", "proofsketch.sketch",
-                        "dataclasses"}
+    assert not set(new) & {"proofsketch.harness", "logging", "dataclasses", "inspect"}
+    generation_stack = {"proofsketch.generation", "proofsketch.selector", "proofsketch.sketch"}
     if command[0] == "closure":
         assert not set(new) & generation_stack
     else:

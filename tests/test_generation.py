@@ -177,6 +177,9 @@ class TestGenerationRequest:
     def test_invalid_rejected(self, kwargs) -> None:
         with pytest.raises(ValueError):
             GenerationRequest("p", **kwargs)
+        # _replace builds through the same check.
+        with pytest.raises(ValueError):
+            GenerationRequest("p", 5)._replace(**kwargs)
 
 
 class TestScriptedGenerator:
@@ -304,6 +307,11 @@ class TestOracleGenerator:
             OracleNoiseConfig(flip_answer_prob=1.5)
         with pytest.raises(ValueError):
             OracleNoiseConfig(corrupt_claim_prob=-0.1)
+        # _replace and _make build through the same check.
+        with pytest.raises(ValueError, match=r"^malform_prob must lie in \[0, 1\]$"):
+            OracleNoiseConfig()._replace(malform_prob=2.0)
+        with pytest.raises(ValueError, match=r"^flip_answer_prob must lie in \[0, 1\]$"):
+            OracleNoiseConfig._make((1.5, 0.0, 0.0))
 
 
 _PROBABILITIES = st.sampled_from([0.0, 0.2, 0.5, 1.0])

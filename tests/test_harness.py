@@ -90,6 +90,16 @@ class TestLoadDataset:
         assert [reject.line_number for reject in loaded.rejects] == [2]
         assert loaded.rejects[0].reason.startswith("invalid JSON")
 
+    @pytest.mark.parametrize("row, reason", [
+        ([1], "expected a JSON object"),
+        (dict(VALID_LINE, theory=1), "theory and question must be strings"),
+        (dict(VALID_LINE, answer=1), "answer must be a string"),
+    ], ids=("not-an-object", "theory-not-a-string", "answer-not-a-string"))
+    def test_mistyped_line_rejected(self, tmp_path, row, reason) -> None:
+        path = tmp_path / "data.jsonl"
+        _write_jsonl(path, [VALID_LINE, row])
+        assert load_dataset(path).rejects == (RejectedLine(2, reason),)
+
     def test_repeated_id_rejected(self, tmp_path) -> None:
         path = tmp_path / "data.jsonl"
         line = {"id": "r1", "theory": "Anne is big.", "question": "Is Anne big?"}

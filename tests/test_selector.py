@@ -209,6 +209,9 @@ class TestPipelineConfig:
     def test_invalid_rejected(self, kwargs) -> None:
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+        # _replace builds through the same check.
+        with pytest.raises(ValueError):
+            PipelineConfig()._replace(**kwargs)
 
 
 def _result_view(result: PipelineResult) -> dict:

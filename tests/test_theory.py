@@ -266,6 +266,16 @@ class TestNaturalLanguageParsing:
             parse_theory_nl("Anne is kind. Anne likes Bob.")
         assert excinfo.value.sentence_index == 1
 
+    @pytest.mark.parametrize("sentence, reason", [
+        ("If someone is big then red",
+         "rule conclusion must be '<they|it|name> is [not] <attribute>'"),
+        ("All , people are red", "no attributes before 'people'/'things'"),
+    ], ids=("if-conclusion", "all-attributes"))
+    def test_malformed_rule_message(self, sentence: str, reason: str) -> None:
+        with pytest.raises(ParseError) as excinfo:
+            parse_theory_nl(f"Bob is big. {sentence}.")
+        assert str(excinfo.value) == f"sentence 1: {reason} ({sentence!r})"
+
     def test_mismatched_rule_head_subject_rejected(self) -> None:
         with pytest.raises(ParseError):
             parse_theory_nl("If Anne is big then Bob is kind.")
@@ -366,6 +376,7 @@ class TestStructuredParsing:
                 },
                 "rules[0].body[0].negated",
             ),
+            ({"facts": [5], "rules": []}, "facts[0]: expected object"),
         ],
     )
     def test_schema_errors_name_the_field(self, doc, fragment) -> None:
@@ -552,6 +563,10 @@ class TestParseQuestion:
     def test_not_needs_an_attribute(self, text: str) -> None:
         with pytest.raises(ParseError, match="^'not' needs an attribute after it$"):
             parse_question(text)
+
+    def test_question_without_entity_rejected(self) -> None:
+        with pytest.raises(ParseError, match="^question names no entity$"):
+            parse_question("Is not big?")
 
     def test_label_from_text(self) -> None:
         assert Label.from_text("true") is Label.TRUE
