@@ -16,7 +16,7 @@ import os
 import sys
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .closure import Closure, forward_chain
 from .dataset import EmptyDatasetError, load_dataset
@@ -64,20 +64,16 @@ _MAX_WORKERS = 64
 
 
 class UsageError(Exception):
-    """A command-line argument or config value the command cannot run with."""
+    """A command-line argument or config value the command cannot run with,
+    or a generator call that failed, such as a request the endpoint rejected;
+    the message is the generator's own."""
 
 
-# Bad input from the user: one stderr line and exit status 2. So is a
-# GeneratorError; see _user_errors.
+# Bad input from the user: one stderr line and exit status 2. A
+# GeneratorError arrives as a UsageError (see _generator_for), so closure
+# need not load generation to catch it.
 _USER_ERRORS = (UsageError, OSError, ParseError, SchemaError, InconsistentFactsError,
                 EmptyDatasetError)
-
-
-def _user_errors() -> tuple[type[Exception], ...]:
-    """_USER_ERRORS, and GeneratorError once generation is loaded: only a
-    command that loaded it can raise one, so closure need not load it."""
-    generation = sys.modules.get(f"{__package__}.generation")
-    return _USER_ERRORS if generation is None else (*_USER_ERRORS, generation.GeneratorError)
 
 
 def _read_text(path: str | Path) -> str:
@@ -125,12 +121,13 @@ def _load_closure(path: str) -> Closure:
 _INDENTED_JSON = json.JSONEncoder(indent=2)
 
 
-def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
-    """The --config document, type-checked, and the PipelineConfig it sets."""
+def _load_config(path: str | None) -> tuple[PipelineConfig, dict]:
+    """The PipelineConfig the --config document sets, and the HttpGenerator
+    settings it holds, each key type-checked."""
     from .selector import PipelineConfig
 
     if not path:
-        return {}, PipelineConfig()
+        return PipelineConfig(), {}
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
@@ -146,9 +143,10 @@ def _load_config(path: str | None) -> tuple[dict, PipelineConfig]:
             raise SchemaError(f"config key {key!r} must be a finite number")
     pipeline = {key: doc[key] for key in doc.keys() & PipelineConfig._fields}
     try:
-        return doc, PipelineConfig(**pipeline)
+        config = PipelineConfig(**pipeline)
     except ValueError as exc:
         raise UsageError(f"config file: {exc}") from exc
+    return config, {key: doc[key] for key in doc.keys() & _HTTP_KEYS}
 
 
 def _record_seed(base_seed: int, record_id: str) -> int:
@@ -156,32 +154,35 @@ def _record_seed(base_seed: int, record_id: str) -> int:
     return (base_seed * 1_000_003) ^ zlib.crc32(record_id.encode("utf-8"))
 
 
-GeneratorMaker = Callable[[Closure, Question, int, Hashable], "Generator"]
-
-
 @contextlib.contextmanager
-def _generator_for(args: argparse.Namespace, config_doc: dict) -> Iterator[GeneratorMaker]:
-    """The --backend generator for (closure, question, oracle seed, record
-    id). The scripted and http backends are one instance shared by every
-    question; the http one closes its connections when the command is done.
-    The oracle backend is one cursor per call, and the cursors of one
-    record id share its first reply for the life of the command."""
-    from .generation import (EndpointError, HttpGenerator, OracleGenerator, OracleNoiseConfig,
-                             ScriptedGenerator)
+def _generator_for(args: argparse.Namespace,
+                   http_settings: dict) -> Iterator[Callable[..., Generator]]:
+    """Yield make(closure, question, record_id=None), the --backend generator
+    for one question of the command. Scripted and http make one instance for
+    every question; http closes its connections when the command ends. The
+    oracle makes a cursor per call, seeded by --seed without a record id
+    (`answer` passes none) and by _record_seed(--seed, record_id) with one.
+    Within a command the id fixes closure, question and seed, so it keys the
+    record's first reply, shared by its cursors. A GeneratorError raised in
+    the block leaves it as a UsageError with the same message."""
+    from .generation import (EndpointError, GeneratorError, HttpGenerator, OracleGenerator,
+                             OracleNoiseConfig, ScriptedGenerator)
 
+    shared = None
     if args.backend == "scripted":
         if not args.script:
             raise UsageError("--backend scripted requires --script <file>")
         script = _read_json(args.script)
         if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
             raise UsageError("script file must hold a JSON array of strings")
+        if not script:
+            raise UsageError("script file must hold at least one response")
         shared = ScriptedGenerator(script, strict=False)
     elif args.backend == "http":
         if not args.endpoint or not args.model:
             raise UsageError("--backend http requires --endpoint and --model")
         try:
-            settings = {key: config_doc[key] for key in config_doc.keys() & _HTTP_KEYS}
-            shared = HttpGenerator(args.endpoint, args.model, **settings)
+            shared = HttpGenerator(args.endpoint, args.model, **http_settings)
         except ValueError as exc:  # an EndpointError names the --endpoint value
             prefix = "" if isinstance(exc, EndpointError) else "config file: "
             raise UsageError(f"{prefix}{exc}") from exc
@@ -190,27 +191,22 @@ def _generator_for(args: argparse.Namespace, config_doc: dict) -> Iterator[Gener
             noise = OracleNoiseConfig(args.flip, args.corrupt, args.malform)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        # A record's stream depends only on its closure, question and seed,
-        # which its id fixes within one command.
-        first_replies: dict[Hashable, GenerationResponse] = {}
+        first_replies: dict[str | None, GenerationResponse] = {}
 
-        def make_oracle(closure: Closure, question: Question, seed: int,
-                        record_id: Hashable) -> Generator:
-            return OracleGenerator(closure, question, noise, seed,
-                                   first_replies=first_replies, key=record_id)
+    def make(closure: Closure, question: Question, record_id: str | None = None) -> Generator:
+        if shared is not None:
+            return shared
+        seed = args.seed if record_id is None else _record_seed(args.seed, record_id)
+        return OracleGenerator(closure, question, noise, seed,
+                               first_replies=first_replies, key=record_id)
 
-        yield make_oracle
-        return
     try:
-        yield lambda closure, question, seed, record_id: shared
+        yield make
+    except GeneratorError as exc:
+        raise UsageError(str(exc)) from exc
     finally:
         if isinstance(shared, HttpGenerator):
             shared.close()
-
-
-def _per_record(args: argparse.Namespace, make: GeneratorMaker):
-    return lambda record: make(record.closure, record.question,
-                               _record_seed(args.seed, record.record_id), record.record_id)
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
@@ -245,12 +241,11 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _cmd_answer(args: argparse.Namespace) -> int:
     from .selector import run_pipeline
 
-    config_doc, config = _load_config(args.config)
+    config, http_settings = _load_config(args.config)
     closure = _load_closure(args.theory_file)
     question = parse_question(args.question)
-    with _generator_for(args, config_doc) as make:
-        result = run_pipeline(closure, question, config,
-                              make(closure, question, args.seed, None))
+    with _generator_for(args, http_settings) as make:
+        result = run_pipeline(closure, question, config, make(closure, question))
     print(_INDENTED_JSON.encode(result.to_json_dict()))
     return 0
 
@@ -275,12 +270,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     from .generation import Method
     from .harness import compute_metrics, emit_report, evaluate, write_run
 
-    config_doc, config = _load_config(args.config)
+    config, http_settings = _load_config(args.config)
     member = _METHOD_CHOICES[args.method]
     methods = list(Method) if member is None else [Method[member]]
     loaded = load_dataset(args.dataset)
-    with _generator_for(args, config_doc) as make:
-        results = evaluate(loaded.records, methods, config, _per_record(args, make),
+    with _generator_for(args, http_settings) as make:
+        results = evaluate(loaded.records, methods, config,
+                           lambda record: make(record.closure, record.question, record.record_id),
                            workers=args.workers)
     report = compute_metrics(results)
     if args.out:
@@ -315,11 +311,12 @@ def _parse_budgets(spec: str) -> list[int]:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     from .harness import ablation_csv, run_ablation
 
-    config_doc, config = _load_config(args.config)
+    config, http_settings = _load_config(args.config)
     budgets = _parse_budgets(args.budgets)
     loaded = load_dataset(args.dataset)
-    with _generator_for(args, config_doc) as make:
-        rows = run_ablation(loaded.records, budgets, config, _per_record(args, make),
+    with _generator_for(args, http_settings) as make:
+        rows = run_ablation(loaded.records, budgets, config,
+                            lambda record: make(record.closure, record.question, record.record_id),
                             workers=args.workers)
     csv_text = ablation_csv(rows)
     if args.out:
@@ -417,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         # docs advise, with stdout on devnull so the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _user_errors() as exc:
+    except _USER_ERRORS as exc:
         message = " ".join(str(exc).split())
         print(f"proofsketch: error: {message}", file=sys.stderr)
         return 2

@@ -25,8 +25,8 @@ from proofsketch.closure import decide_from_closure, forward_chain
 from proofsketch.generation import HttpGenerator, OracleGenerator, OracleNoiseConfig
 from proofsketch.dataset import DatasetRecord, load_dataset
 from proofsketch.harness import ablation_csv, run_ablation
-from proofsketch.selector import PipelineConfig
-from proofsketch.theory import parse_theory_nl
+from proofsketch.selector import PipelineConfig, run_pipeline
+from proofsketch.theory import parse_question, parse_theory_nl
 
 from helpers import random_question, random_theory
 from test_generation import _StubEndpoint, _ok_payload
@@ -178,6 +178,22 @@ class TestAnswerCommand:
         assert payload["sketches"][0]["claims"] == ["bob is round"]
         assert payload["sketches"][0]["score"]["cert"] == 1
 
+    def test_oracle_seeded_by_seed(self, theory_file, capsys) -> None:
+        # answer has no record id, so --seed itself seeds its oracle.
+        closure = forward_chain(parse_theory_nl(THEORY_TEXT))
+        question = parse_question("Is Bob kind?")
+        noise = OracleNoiseConfig(0.3, 0.3, 0.2)
+        outputs = []
+        for seed in range(4):
+            assert main(["answer", str(theory_file), "--question", "Is Bob kind?",
+                         "--seed", str(seed), "--flip", "0.3", "--corrupt", "0.3",
+                         "--malform", "0.2"]) == 0
+            outputs.append(_without_latency(capsys.readouterr().out))
+            expected = run_pipeline(closure, question, PipelineConfig(),
+                                    OracleGenerator(closure, question, noise, seed))
+            assert outputs[-1] == _without_latency(json.dumps(expected.to_json_dict()))
+        assert len({json.dumps(output, sort_keys=True) for output in outputs}) > 1
+
     def test_scripted_backend(self, theory_file, tmp_path, capsys) -> None:
         script = tmp_path / "script.json"
         script.write_text(
@@ -227,12 +243,17 @@ class TestAnswerCommand:
                      "--config", str(config)]) == 2
         assert _error_line(capsys).endswith("config file has unknown key(s): max_sketch")
 
-    def test_scripted_script_must_be_string_array(self, theory_file, tmp_path, capsys) -> None:
+    @pytest.mark.parametrize("doc, message", [
+        ({"answer": "Unknown"}, "script file must hold a JSON array of strings"),
+        ([], "script file must hold at least one response"),
+    ], ids=["not-an-array", "empty"])
+    def test_scripted_script_must_be_string_array(self, theory_file, tmp_path, capsys, doc,
+                                                  message) -> None:
         script = tmp_path / "script.json"
-        script.write_text(json.dumps({"answer": "Unknown"}), encoding="utf-8")
+        script.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["answer", str(theory_file), "--question", "Is Bob kind?",
                      "--backend", "scripted", "--script", str(script)]) == 2
-        assert _error_line(capsys).endswith("script file must hold a JSON array of strings")
+        assert _error_line(capsys) == f"proofsketch: error: {message}"
 
     def test_http_backend_reads_config(self, theory_file, tmp_path, capsys,
                                        monkeypatch) -> None:
@@ -663,8 +684,10 @@ class TestReadmeErrorExamples:
          {"x.json": json.dumps({"facts": [{"entity": "if", "attribute": "big", "negated": False}],
                                 "rules": []})},
          "", "facts[0]: its sentence 'If is big.' reads back differently"),
+        (_ANSWER + ["--backend", "scripted", "--script", "{dir}/script.json"],
+         {"script.json": "[]"}, "", "script file must hold at least one response"),
     ], ids=("nan", "max-retries", "workers", "api-key", "metrics-row", "metrics-savings",
-            "bare-not", "unknown-key", "duplicate-id", "read-back"))
+            "bare-not", "unknown-key", "duplicate-id", "read-back", "empty-script"))
     def test_example_gives_quoted_message(self, tmp_path, capsys, monkeypatch, argv, files, key,
                                           quoted) -> None:
         monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
@@ -749,6 +772,32 @@ class TestHttpConnections:
             endpoint.wait_closed()
         finally:
             endpoint.close()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+    @pytest.mark.parametrize("command", [
+        ["answer", "{theory}", "--question", "Is Bob kind?"],
+        ["eval", "{dataset}", "--workers", "1"],
+        ["eval", "{dataset}", "--method", "all", "--workers", "2"],
+        ["ablate", "{dataset}", "--budgets", "10,20"],
+    ], ids=["answer", "eval", "eval-all-workers-2", "ablate"])
+    def test_rejected_request_is_one_line_error(self, command, theory_file, dataset, capsys,
+                                                monkeypatch) -> None:
+        monkeypatch.delenv("PROOFSKETCH_API_KEY", raising=False)
+        endpoint = _StubEndpoint()
+        try:
+            endpoint.plan(*[("status", 400)] * 200)
+            argv = [arg.format(theory=theory_file, dataset=dataset) for arg in command]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([*argv, "--backend", "http", "--endpoint", endpoint.url,
+                             "--model", "m"]) == 2
+                gc.collect()
+            assert _error_line(capsys) == "proofsketch: error: request rejected with status 400"
+            assert endpoint.requests
+            endpoint.wait_closed()
+        finally:
+            endpoint.close()
+        # The failed command still closed its connections.
         assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
@@ -939,8 +988,9 @@ def _without_latency(output: str) -> dict:
 
 
 class TestClosureCache:
-    """`answer` keeps the closure of each theory text it has read; every
-    result must be what the same command prints with nothing cached."""
+    """`answer` and `closure` keep the closure of each theory text they have
+    read; every result must be what the same command prints with nothing
+    cached."""
 
     STRUCTURED = {
         "facts": [{"entity": "anne", "attribute": "big", "negated": False},
@@ -982,6 +1032,21 @@ class TestClosureCache:
         for _ in range(2):
             assert [answer(argv) for argv in argvs] == uncached
         assert cli._closure_of.cache_info().hits == 2 * len(argvs) - 2
+
+    def test_closure_and_answer_share_the_cache(self, theory_file, capsys,
+                                                monkeypatch) -> None:
+        cli._closure_of.cache_clear()
+        parsed = _count_calls(monkeypatch, parse_theory_nl)
+        closed = _count_calls(monkeypatch, forward_chain)
+        assert main(["closure", str(theory_file)]) == 0
+        uncached = capsys.readouterr().out
+        assert main(["answer", str(theory_file), "--question", "Is Anne kind?"]) == 0
+        assert json.loads(capsys.readouterr().out)["answer"] == "True"
+        assert main(["closure", str(theory_file)]) == 0
+        assert capsys.readouterr().out == uncached
+        assert (len(parsed), len(closed)) == (1, 1)
+        info = cli._closure_of.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_parse_error_on_every_call(self, tmp_path, capsys) -> None:
         bad = tmp_path / "bad.txt"
