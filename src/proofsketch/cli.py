@@ -177,7 +177,7 @@ def _generator_for(args: argparse.Namespace,
             raise UsageError("script file must hold a JSON array of strings")
         if not script:
             raise UsageError("script file must hold at least one response")
-        shared = ScriptedGenerator(script, strict=False)
+        shared = ScriptedGenerator(script)
     elif args.backend == "http":
         if not args.endpoint or not args.model:
             raise UsageError("--backend http requires --endpoint and --model")

@@ -78,8 +78,9 @@ def _validate_line(obj: object, closures: dict[str, Closure]) -> DatasetRecord:
 def load_dataset(path: str | PathLike[str]) -> LoadResult:
     """Read a JSONL dataset, validating every non-blank line.
 
-    Raises EmptyDatasetError when nothing validates; file-system problems
-    propagate as OSError. A line that is not valid UTF-8 is rejected alone.
+    Raises EmptyDatasetError when nothing validates, naming the first
+    rejected line and its reason; file-system problems propagate as
+    OSError. A line that is not valid UTF-8 is rejected alone.
     """
     records: list[DatasetRecord] = []
     rejects: list[RejectedLine] = []
@@ -113,6 +114,7 @@ def load_dataset(path: str | PathLike[str]) -> LoadResult:
                     line_number, f"duplicate id {record.record_id!r} (first on line {first})"))
                 continue
             records.append(record)
-    if not records:
-        raise EmptyDatasetError(f"no valid records in {path}")
+    if not records:  # no rejects either when the file holds no non-blank line
+        first = f" (line {rejects[0].line_number}: {rejects[0].reason})" if rejects else ""
+        raise EmptyDatasetError(f"no valid records in {path}{first}")
     return LoadResult(tuple(records), tuple(rejects))

@@ -10,7 +10,8 @@ Everything the pipeline asks a text generator for goes through one
 call, Generator.generate(request) -> response. Three backends implement
 it:
 
-    ScriptedGenerator  replays a fixed list of responses; golden tests
+    ScriptedGenerator  replays a fixed list of responses in order, starting
+                       over after the last; golden tests
     OracleGenerator    derives sketches from the symbolic closure, with
                        seeded noise knobs for controlled degradation
     HttpGenerator      OpenAI-style chat-completions endpoint over HTTP
@@ -121,10 +122,6 @@ class GeneratorError(Exception):
         self.tokens_generated: int | None = None
 
 
-class ScriptExhaustedError(GeneratorError):
-    """A strict scripted generator ran past the end of its script."""
-
-
 class GenerationTimeout(GeneratorError, TimeoutError):
     """The endpoint did not answer within the configured deadline."""
 
@@ -210,18 +207,16 @@ def request_sketch(generator: Generator, prompt: str, max_tokens: int,
 
 
 class ScriptedGenerator:
-    """Replays a fixed response list, in order.
-
-    strict mode raises ScriptExhaustedError past the end; otherwise the
-    script cycles. A run shares one instance across questions, so the
-    cursor is guarded by a lock: concurrent calls each take one response.
+    """Replays a fixed response list: each call takes the next response,
+    and the script starts again after the last. A run shares one instance
+    across questions, so the cursor is guarded by a lock: concurrent calls
+    each take one response, in an order the caller's threads decide.
     """
 
-    def __init__(self, script: Sequence[str], *, strict: bool = True) -> None:
+    def __init__(self, script: Sequence[str]) -> None:
         if not script:
             raise ValueError("script must contain at least one response")
         self._script = [str(item) for item in script]
-        self._strict = strict
         self._cursor = 0
         self._lock = threading.Lock()
 
@@ -231,13 +226,7 @@ class ScriptedGenerator:
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         with self._lock:
-            position = self._cursor
-            if position >= len(self._script):
-                if self._strict:
-                    raise ScriptExhaustedError(
-                        f"script exhausted after {len(self._script)} responses"
-                    )
-                position %= len(self._script)
+            position = self._cursor % len(self._script)
             self._cursor += 1
         text = self._script[position]
         return GenerationResponse(text=text, completion_tokens=count_tokens(text))

@@ -380,9 +380,7 @@ def test_criterion_09_budget_enforcement() -> None:
                 problems.append(f"{name} call {index}: {raw.completion_tokens} > {max_tokens}")
                 return
 
-    scripted = ScriptedGenerator(
-        ["tok " * rng.randint(0, 80) for _ in range(25)], strict=False
-    )
+    scripted = ScriptedGenerator(["tok " * rng.randint(0, 80) for _ in range(25)])
     check_calls("scripted",
                 lambda cap: request_sketch(scripted, "p", cap, temperature=0.0))
 
@@ -487,7 +485,7 @@ def test_criterion_12_end_to_end_determinism(tmp_path) -> None:
     methods = [Method.ZERO_SHOT, Method.SHORT_COT, Method.LONG_COT, Method.PROOFSKETCH]
 
     def one_run(out_name: str) -> bytes:
-        shared = ScriptedGenerator(script, strict=False)
+        shared = ScriptedGenerator(script)
         rows = evaluate(records, methods, PipelineConfig(), lambda record: shared,
                         workers=1)
         out = write_run(

@@ -686,11 +686,17 @@ class TestReadmeErrorExamples:
          "", "facts[0]: its sentence 'If is big.' reads back differently"),
         (_ANSWER + ["--backend", "scripted", "--script", "{dir}/script.json"],
          {"script.json": "[]"}, "", "script file must hold at least one response"),
+        (["eval", "bad.jsonl"],
+         {"bad.jsonl": json.dumps({"id": "r1", "theory": "Anne is big. Anne is not big.",
+                                   "question": "Is Anne big?", "answer": "True"}) + "\n"},
+         "", "no valid records in bad.jsonl (line 1: both polarities asserted for (anne, big))"),
     ], ids=("nan", "max-retries", "workers", "api-key", "metrics-row", "metrics-savings",
-            "bare-not", "unknown-key", "duplicate-id", "read-back", "empty-script"))
+            "bare-not", "unknown-key", "duplicate-id", "read-back", "empty-script",
+            "all-rejected"))
     def test_example_gives_quoted_message(self, tmp_path, capsys, monkeypatch, argv, files, key,
                                           quoted) -> None:
         monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
+        monkeypatch.chdir(tmp_path)  # so a relative file name is quoted as the README quotes it
         monkeypatch.setenv("PROOFSKETCH_API_KEY", key)
         for name, content in {"theory.txt": THEORY_TEXT, **files}.items():
             (tmp_path / name).write_text(content, encoding="utf-8")

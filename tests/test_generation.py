@@ -32,7 +32,7 @@ from proofsketch.sketch import ParseStatus, parse_sketch
 from proofsketch.generation import (BASELINE_BUDGETS, EndpointError, GenerationRequest,
                                     GenerationTimeout, Generator, GeneratorError, HttpGenerator,
                                     Method, OracleGenerator, OracleNoiseConfig, PROMPT_VERSION,
-                                    ScriptExhaustedError, ScriptedGenerator, build_baseline_prompt,
+                                    ScriptedGenerator, build_baseline_prompt,
                                     build_sketch_prompt, count_tokens, request_sketch,
                                     truncate_to_tokens)
 from proofsketch.selector import PipelineConfig, select_budget
@@ -190,16 +190,8 @@ class TestScriptedGenerator:
         assert generator.generate(request).text == "two"
         assert generator.calls == 2
 
-    def test_strict_exhaustion(self) -> None:
-        generator = ScriptedGenerator(["only"])
-        request = GenerationRequest(prompt="p", max_tokens=10)
-        generator.generate(request)
-        with pytest.raises(ScriptExhaustedError):
-            generator.generate(request)
-        assert isinstance(ScriptExhaustedError("x"), GeneratorError)
-
     def test_cycle_mode(self) -> None:
-        generator = ScriptedGenerator(["a", "b"], strict=False)
+        generator = ScriptedGenerator(["a", "b"])
         request = GenerationRequest(prompt="p", max_tokens=10)
         texts = [generator.generate(request).text for _ in range(5)]
         assert texts == ["a", "b", "a", "b", "a"]
@@ -732,7 +724,7 @@ class TestThreadSafety:
         # A run shares one scripted generator across questions; its own
         # lock hands each concurrent call a distinct response.
         script = [f"item {i}" for i in range(200)]
-        scripted = ScriptedGenerator(script, strict=True)
+        scripted = ScriptedGenerator(script)
         request = GenerationRequest(prompt="p", max_tokens=10)
         errors: list[Exception] = []
         texts: list[str] = []

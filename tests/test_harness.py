@@ -141,9 +141,18 @@ class TestLoadDataset:
 
     def test_empty_dataset_rejected(self, tmp_path) -> None:
         path = tmp_path / "data.jsonl"
-        _write_jsonl(path, ["{broken"])
-        with pytest.raises(EmptyDatasetError):
+        _write_jsonl(path, ["", "{broken", dict(VALID_LINE, answer="maybe")])
+        with pytest.raises(EmptyDatasetError) as excinfo:
             load_dataset(path)
+        # The message names the first rejected line and its reason.
+        assert str(excinfo.value) == (
+            f"no valid records in {path} "
+            "(line 2: invalid JSON: Expecting property name enclosed in double quotes)")
+        # A file with no non-blank line has no reject to name.
+        _write_jsonl(path, ["", "  "])
+        with pytest.raises(EmptyDatasetError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"no valid records in {path}"
 
     def test_missing_file_is_oserror(self, tmp_path) -> None:
         with pytest.raises(OSError):
@@ -208,6 +217,7 @@ class TestRunBaseline:
         assert row.correct and not row.certified and not row.unparseable
         assert row.generator_calls == 1
         assert row.tokens == 9
+        assert generator.calls == 1
 
     def test_unparseable_completion(self) -> None:
         generator = ScriptedGenerator(["mumble mumble"])
@@ -215,16 +225,19 @@ class TestRunBaseline:
         assert row.predicted is Label.UNKNOWN
         assert not row.correct
         assert row.unparseable
+        assert generator.calls == 1
 
     def test_budget_clamps_tokens(self) -> None:
         generator = ScriptedGenerator(["word " * 500])
         row = run_baseline(self.RECORD, Method.ZERO_SHOT, generator)
         assert row.tokens == 16
+        assert generator.calls == 1
 
     def test_long_mode_budget(self) -> None:
         generator = ScriptedGenerator(["word " * 500 + "Answer: True"])
         row = run_baseline(self.RECORD, Method.LONG_COT, generator)
         assert row.tokens == 384
+        assert generator.calls == 1
 
 
 class TestRunProofSketch:

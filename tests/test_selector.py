@@ -323,6 +323,7 @@ class TestRunPipeline:
         generator = ScriptedGenerator([long_text] * 4)
         config = PipelineConfig(fixed_budget=10)
         result = run_pipeline(CLOSURE, OPEN_Q, config, generator)
+        assert generator.calls == 4
         for sketch in result.sketches:
             assert sketch.raw.completion_tokens <= 10
 
@@ -372,6 +373,7 @@ class TestRunPipeline:
         generator = ScriptedGenerator([first, second])
         config = PipelineConfig(max_sketches=2)
         result = run_pipeline(CLOSURE, OPEN_Q, config, generator)
+        assert generator.calls == 2
         assert result.sketches[0].score == result.sketches[1].score
         assert result.answer is Label.TRUE
 
@@ -415,8 +417,9 @@ class TestRunPipeline:
         assert calls == [OPEN_Q]
 
     def test_audit_view_is_json_serializable(self) -> None:
-        script = [PARTIAL_SKETCH] * 4
-        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), ScriptedGenerator(script))
+        generator = ScriptedGenerator([PARTIAL_SKETCH] * 4)
+        result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
+        assert generator.calls == 4
         encoded = json.dumps(result.to_json_dict())
         assert "bob is round" in encoded
 

@@ -203,6 +203,14 @@ class TestObjectSpan:
     def test_matches_rescanning_reference(self, text: str) -> None:
         assert _balanced_object_span(text) == rescanning_object_span(text)
 
+    def test_merge_keeps_earliest_open(self) -> None:
+        # At the quote at 4, the track of the "{" at 0 (escaped, in a
+        # string) and the track of the "{" at 2 (opening a string) merge;
+        # the merged track must keep 0, the earliest open, so the final
+        # "}" closes the whole reply. Hypothesis finds this only by luck.
+        text = '{"{\\""}'
+        assert _balanced_object_span(text) == rescanning_object_span(text) == text
+
 
 class TestCanonicalizeClaim:
     def test_positive(self) -> None:
