@@ -47,11 +47,11 @@ import sys
 import threading
 import time
 from enum import Enum
-from typing import Any, Hashable, Iterable, NamedTuple, Protocol, Sequence
+from typing import Any, Hashable, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .closure import Closure, decide_from_closure, verified_literals
-from .theory import Label, Question, Theory
+from .theory import CheckedTuple, Label, Question, Theory
 
 PROMPT_VERSION = "1"
 
@@ -132,7 +132,7 @@ class _GenerationRequestFields(NamedTuple):
     temperature: float = 0.0
 
 
-class GenerationRequest(_GenerationRequestFields):
+class GenerationRequest(CheckedTuple, _GenerationRequestFields):
     """One completion request. A max_tokens below 1 or a temperature that
     is not a finite non-negative number raises ValueError, however the
     request is built: _make, and so _replace, construct through __new__."""
@@ -146,10 +146,6 @@ class GenerationRequest(_GenerationRequestFields):
         if not 0 <= request.temperature <= sys.float_info.max:
             raise ValueError("temperature must be a finite non-negative number")
         return request
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> "GenerationRequest":
-        return cls(*iterable)
 
 
 class GenerationResponse(NamedTuple):
@@ -238,7 +234,7 @@ class _OracleNoiseFields(NamedTuple):
     malform_prob: float = 0.0
 
 
-class OracleNoiseConfig(_OracleNoiseFields):
+class OracleNoiseConfig(CheckedTuple, _OracleNoiseFields):
     """Corruption probabilities for the oracle; each OracleGenerator has its own seed.
     A probability outside [0, 1] raises ValueError, however the config is
     built: _make, and so _replace, construct through __new__."""
@@ -251,10 +247,6 @@ class OracleNoiseConfig(_OracleNoiseFields):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         return noise
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> "OracleNoiseConfig":
-        return cls(*iterable)
 
 
 _MALFORMED_TEXT = "I am sorry, I could not produce a structured reply for this request."

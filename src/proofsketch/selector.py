@@ -27,13 +27,13 @@ from __future__ import annotations
 import sys
 import time
 from enum import Enum
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 from .closure import Closure, VerdictStatus, decide_from_closure, verified_literals, verify_claim
 from .generation import (GenerationResponse, Generator, GeneratorError, build_sketch_prompt,
                          request_sketch)
 from .sketch import ParsedSketch, anchor_claims, parse_sketch
-from .theory import Label, Literal, Question
+from .theory import CheckedTuple, Label, Literal, Question
 
 
 class Certification(str, Enum):
@@ -88,7 +88,7 @@ class _PipelineConfigFields(NamedTuple):
     closure_short_circuit: bool = True
 
 
-class PipelineConfig(_PipelineConfigFields):
+class PipelineConfig(CheckedTuple, _PipelineConfigFields):
     """Knobs for run_pipeline.
 
     max_sketches caps the sketches sampled per question; run_pipeline
@@ -104,7 +104,7 @@ class PipelineConfig(_PipelineConfigFields):
     additionally certifies Unknown when neither polarity is derivable,
     trusting the closure as complete for this fragment; it never applies
     when both polarities are derivable, since a contradictory theory must
-    not certify anything.
+    not certify anything. With closure_short_circuit off it changes nothing.
 
     A count or budget below 1, or a temperature that is not a finite
     non-negative number, raises ValueError however the config is built:
@@ -125,10 +125,6 @@ class PipelineConfig(_PipelineConfigFields):
         if not 0 <= config.temperature <= sys.float_info.max:
             raise ValueError("temperature must be a finite non-negative number")
         return config
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> "PipelineConfig":
-        return cls(*iterable)
 
     @property
     def adaptive_budget(self) -> bool:

@@ -32,9 +32,10 @@ import re
 from enum import Enum
 from typing import Any, Callable, NamedTuple
 
-from .theory import Label, Literal, ParseError, Question, Theory, _parse_fact
+from .theory import Label, Literal, ParseError, Question, Theory, _parse_fact, _words
 
-_LABEL_WORD_RE = re.compile(r"\b(true|false|unknown)\b", re.IGNORECASE)
+_LABEL_VALUES = tuple(label.value for label in Label)
+_LABEL_WORD_RE = re.compile(rf"\b({'|'.join(_LABEL_VALUES)})\b", re.IGNORECASE)
 _TRAILING_COMMA_RE = re.compile(r",(\s*[}\]])")
 _CONTRACTION_RE = re.compile(r"\bisn'?t\b", re.IGNORECASE)
 # The characters that move a span scan: braces, quotes and backslashes.
@@ -43,13 +44,9 @@ _SPAN_CHARS_RE = re.compile(r'[{}"\\]')
 _SMART_QUOTES = str.maketrans({"“": '"', "”": '"', "„": '"',
                                "‘": "'", "’": "'", "‚": "'"})
 
-_LABEL_VALUES = tuple(label.value for label in Label)
 _ANSWER_SYNONYMS = {
-    "true": Label.TRUE,
     "yes": Label.TRUE,
-    "false": Label.FALSE,
     "no": Label.FALSE,
-    "unknown": Label.UNKNOWN,
     "cannot be determined": Label.UNKNOWN,
     "unproven": Label.UNKNOWN,
     "uncertain": Label.UNKNOWN,
@@ -139,7 +136,7 @@ def _merge_tracks(a: list | None, b: list | None) -> list | None:
 def _fold_answer(raw: Any) -> Label | None:
     if not isinstance(raw, str):
         return None
-    return _ANSWER_SYNONYMS.get(raw.strip().lower())
+    return Label.from_text(raw) or _ANSWER_SYNONYMS.get(raw.strip().lower())
 
 
 def _exact_label(raw: Any) -> Label | None:
@@ -182,7 +179,7 @@ def canonicalize_claim(claim_text: str, theory: Theory) -> Literal | None:
     """
     expanded = _CONTRACTION_RE.sub("is not", claim_text.strip().rstrip("."))
     try:
-        literal = _parse_fact(expanded)
+        literal = _parse_fact(_words(expanded))
     except ParseError:
         return None
     if literal.entity not in theory.entities() or literal.attribute not in theory.attributes():

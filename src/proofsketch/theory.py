@@ -13,7 +13,9 @@ therefore have three possible labels: True, False, Unknown.
 
 Two input formats are supported.
 
-Natural-language text is a sequence of period-terminated sentences:
+Natural-language text is a sequence of period-terminated sentences, in
+which, as in claims and declarative questions, any run of whitespace
+reads as one space:
 
     FACT      <Name> is [not] <Attribute>.
     RULE-IF   If <someone|something|Name> is [not] <Attr> [and [is] [not]
@@ -48,9 +50,10 @@ A Theory holds its asserted facts of both polarities in one literal set;
 a fact asserted together with its negation is rejected at construction.
 
 Literal, Rule and Question are named tuples and Theory is a slotted
-class, all immutable. Literal and Rule compare and hash as the tuples of
-their fields; Theory and Question compare on what they say, not on the text
-they were read from.
+class, all immutable. Rule checks its fields in __new__, and CheckedTuple
+gives it, like each checked named tuple, a _make that checks too.
+Literal and Rule compare and hash as the tuples of their fields; Theory
+and Question compare on what they say, not on the text they were read from.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from enum import Enum
 from typing import Any, Iterable, NamedTuple
 
 _ARTICLES = ("the", "a", "an")
-_WS_RE = re.compile(r"\s+")
 _DISALLOWED_RE = re.compile(r"[^a-z0-9 \-]")
 _HYPHEN_RUN_RE = re.compile(r"-{2,}")
 # Raw strings whose canonical form canonicalize_symbol keeps: a theory
@@ -69,23 +71,17 @@ _HYPHEN_RUN_RE = re.compile(r"-{2,}")
 # claims repeat them again.
 _SYMBOL_CACHE_SIZE = 4096
 
-# DOTALL lets '.' match a line break, which is whitespace inside a sentence.
-_FACT_RE = re.compile(
-    r"^(?P<subj>.+?)\s+is\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE | re.DOTALL
-)
-_IF_RE = re.compile(r"^if\s+(?P<body>.+?)\s+then\s+(?P<head>.+)$", re.IGNORECASE | re.DOTALL)
-_AND_RE = re.compile(r"\s+and\s+", re.IGNORECASE)
+# The sentence patterns read text that has been through _words.
+_FACT_RE = re.compile(r"^(?P<subj>.+?) is (?:(?P<neg>not) )?(?P<attr>.+)$", re.IGNORECASE)
+_IF_RE = re.compile(r"^if (?P<body>.+?) then (?P<head>.+)$", re.IGNORECASE)
+_AND_RE = re.compile(r" and ", re.IGNORECASE)
 _ALL_RE = re.compile(
-    r"^all\s+(?P<attrs>.+?)\s+(?:people|things)\s+are\s+(?:(?P<neg>not)\s+)?(?P<head>.+)$",
-    re.IGNORECASE | re.DOTALL,
+    r"^all (?P<attrs>.+?) (?:people|things) are (?:(?P<neg>not) )?(?P<head>.+)$", re.IGNORECASE
 )
 _COND_FULL_RE = re.compile(
-    r"^(?P<ref>.+?)\s+(?:is|are)\s+(?:(?P<neg>not)\s+)?(?P<attr>.+)$",
-    re.IGNORECASE | re.DOTALL,
+    r"^(?P<ref>.+?) (?:is|are) (?:(?P<neg>not) )?(?P<attr>.+)$", re.IGNORECASE
 )
-_COND_BARE_RE = re.compile(
-    r"^(?:(?:is|are)\s+)?(?:(?P<neg>not)\s+)?(?P<attr>.+)$", re.IGNORECASE | re.DOTALL
-)
+_COND_BARE_RE = re.compile(r"^(?:(?:is|are) )?(?:(?P<neg>not) )?(?P<attr>.+)$", re.IGNORECASE)
 
 _UNIVERSAL_SUBJECTS = frozenset({"someone", "something"})
 _PRONOUN_REFS = frozenset({"they", "it"})
@@ -118,6 +114,11 @@ class SchemaError(ValueError):
     mis-typing a field."""
 
 
+def _words(text: str) -> str:
+    """text with each run of whitespace read as one space, none at either end."""
+    return " ".join(text.split())
+
+
 @functools.lru_cache(maxsize=_SYMBOL_CACHE_SIZE)
 def canonicalize_symbol(raw: str) -> str:
     """Normalize an entity or attribute name to its canonical form.
@@ -129,7 +130,7 @@ def canonicalize_symbol(raw: str) -> str:
     output passes through unchanged. Raises EmptySymbolError when nothing
     survives; an error is raised afresh on every call, never cached.
     """
-    text = _DISALLOWED_RE.sub("", _WS_RE.sub(" ", raw.lower()))
+    text = _DISALLOWED_RE.sub("", _words(raw.lower()))
     words = [word for word in (part.strip("-") for part in text.split(" ")) if word]
     while words and words[0] in _ARTICLES:
         words.pop(0)
@@ -188,13 +189,26 @@ def literal_sort_key(literal: Literal) -> tuple[str, str, str]:
     return (literal.entity, literal.attribute, literal.polarity.value)
 
 
+class CheckedTuple:
+    """Base of the named tuples that check their fields in __new__ (Rule,
+    GenerationRequest, OracleNoiseConfig, PipelineConfig), listed before
+    the fields class. Its _make builds through the class, so _make, and
+    _replace through it, check too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Any:
+        return cls(*iterable)
+
+
 class _RuleFields(NamedTuple):
     subject: str | None
     body: tuple[tuple[str, Polarity], ...]
     head: tuple[str, Polarity]
 
 
-class Rule(_RuleFields):
+class Rule(CheckedTuple, _RuleFields):
     """Definite clause over one subject's attributes.
 
     subject is a canonical entity name, or None when the rule ranges over
@@ -218,10 +232,6 @@ class Rule(_RuleFields):
         if head in seen:
             raise ParseError(f"rule head {head[0]!r} repeats a body condition")
         return super().__new__(cls, subject, body, head)
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> "Rule":
-        return cls(*iterable)
 
 
 class Theory:
@@ -414,14 +424,15 @@ def parse_theory_nl(text: str) -> Theory:
     facts: set[Literal] = set()
     rules: list[Rule] = []
     for index, sentence in enumerate(_split_sentences(text)):
-        keyword = sentence.split(None, 1)[0].lower()
+        words = _words(sentence)
+        keyword = words.split(" ", 1)[0].lower()
         try:
             if keyword == "if":
-                rules.append(_parse_rule_if(sentence))
+                rules.append(_parse_rule_if(words))
             elif keyword == "all":
-                rules.append(_parse_rule_all(sentence))
+                rules.append(_parse_rule_all(words))
             else:
-                facts.add(_parse_fact(sentence))
+                facts.add(_parse_fact(words))
         except ParseError as exc:
             raise ParseError(exc.reason, index, sentence) from exc
     return Theory(frozenset(facts), tuple(rules), source_text=text)
@@ -528,7 +539,7 @@ def parse_question(text: str) -> Question:
             raise ParseError("question names no entity")
         entity = canonicalize_symbol(" ".join(remainder))
     else:
-        literal = _parse_fact(stripped)
+        literal = _parse_fact(_words(stripped))
         entity, attribute, polarity = literal.entity, literal.attribute, literal.polarity
     if entity in _QUESTION_WORDS:
         raise ParseError(f"{entity!r} is not an entity name")

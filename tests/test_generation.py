@@ -773,6 +773,17 @@ class TestDeadline:
         assert excinfo.value.__cause__.status_code == 503
         assert len(stub.requests) == 1
 
+    def test_backoff_sleep_overrun_ends_call(self, stub, monkeypatch) -> None:
+        # The backoff fits the deadline when it starts but overruns it: the
+        # next attempt must time out, not pass a negative socket timeout.
+        stub.plan(("status", 500))
+        client = _client(stub, timeout_ms=300, max_retries=1)
+        sleep = time.sleep
+        monkeypatch.setattr(time, "sleep", lambda seconds: sleep(0.35))
+        with pytest.raises(GenerationTimeout, match="^no response within 300 ms$"):
+            client.generate(REQUEST)
+        assert len(stub.requests) == 1
+
 
 def _generate_from_threads(client: HttpGenerator, count: int) -> list[object]:
     results: list[object] = []

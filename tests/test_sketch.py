@@ -9,7 +9,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofsketch.theory import Label, Literal, Polarity, parse_question, parse_theory_nl
+from proofsketch.theory import (Label, Literal, ParseError, Polarity, parse_question,
+                               parse_theory_nl)
 from proofsketch.sketch import (ParseStatus, ParsedSketch, _balanced_object_span, anchor_claims,
                                 canonicalize_claim, parse_sketch)
 
@@ -186,15 +187,29 @@ class TestFailedParse:
         assert parsed.claims == (ANNE_BIG,)
         assert parsed.dropped_claims == 1
 
-    @pytest.mark.parametrize("text", ["{" * 100_000, '{"\\"' * 25_000],
-                             ids=("braces", "escaped-quotes"))
+    @pytest.mark.parametrize("text", [
+        "{" * 100_000,
+        '{"\\"' * 25_000,
+        '"{"{"\\' * 17_000,
+        '{"answer": "True", "claims": ["anne' + " " * 99_959 + 'big"]}',
+    ], ids=("braces", "escaped-quotes", "merge-small-into-large", "whitespace-run-claim"))
     def test_long_unbalanced_reply_parses_quickly(self, text: str) -> None:
-        # Rescanning from every "{" takes minutes on either reply.
+        # Rescanning from every "{" takes minutes on the first two replies.
+        # On the third, a merge of two span tracks that moved the larger
+        # track's opens into the smaller one would take seconds. The last
+        # is balanced, but its claim's 99,959 spaces took a sentence pattern
+        # that spelled whitespace as \s+ minutes to backtrack over.
         started = time.perf_counter()
         parsed = parse_sketch(text, THEORY)
         assert time.perf_counter() - started < 1.0
         assert parsed.parse_status is ParseStatus.FAILED
         assert parsed.claims == ()
+
+    def test_long_whitespace_run_in_a_theory_sentence_fails_quickly(self) -> None:
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match="^sentence 0: expected '<name> is"):
+            parse_theory_nl("Anne" + " " * 100_000 + "big.")
+        assert time.perf_counter() - started < 1.0
 
 
 class TestObjectSpan:

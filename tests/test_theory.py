@@ -551,7 +551,8 @@ class TestParseQuestion:
         assert hash(declarative) == hash(interrogative)
         assert declarative != parse_question("Is Anne big?")
 
-    @pytest.mark.parametrize("text", ["Who is kind?", "", "Is kind?", "Anne likes Bob."])
+    @pytest.mark.parametrize("text", ["Who is kind?", "", "Is kind?", "Anne likes Bob.",
+                                      "Is\tAnne kind?"])
     def test_rejected_forms(self, text: str) -> None:
         with pytest.raises(ParseError):
             parse_question(text)
