@@ -9,8 +9,7 @@ latency.
 
 The package root exports only load_dataset; everything else is imported
 from the module that defines it. Every value type is a typing.NamedTuple,
-or a slotted class where a tuple fits badly (theory.Theory), so no module
-loads the dataclasses machinery.
+so no module loads the dataclasses machinery.
 """
 
 from .dataset import load_dataset

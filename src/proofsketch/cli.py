@@ -16,7 +16,7 @@ import os
 import sys
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .closure import Closure, forward_chain
 from .dataset import EmptyDatasetError, load_dataset
@@ -57,6 +57,9 @@ _CONFIG_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
 # recently used: a process that answers several questions about one
 # theory parses and closes it once.
 _CLOSURE_CACHE_SIZE = 8
+
+# The most budgets one ablate sweeps; each is a full eval.
+_MAX_BUDGETS = 1000
 
 # The largest --workers: the thread pool starts a thread for each pair
 # submitted, up to this many, so an unbounded value could start thousands.
@@ -298,14 +301,18 @@ def _parse_budgets(spec: str) -> list[int]:
     parts = spec.split(":") if ":" in spec else [p for p in spec.split(",") if p.strip()]
     if not parts or not all(part.strip().isdecimal() and int(part) > 0 for part in parts):
         raise UsageError("--budgets expects one or more positive integers")
-    if ":" not in spec:
-        return [int(part) for part in parts]
-    if len(parts) != 3:
-        raise UsageError("--budgets expects start:stop:step or a comma list")
-    start, stop, step = (int(part) for part in parts)
-    if stop < start:
-        raise UsageError("--budgets range must be increasing with a positive step")
-    return list(range(start, stop + 1, step))
+    budgets: Sequence[int] = [int(part) for part in parts]
+    if ":" in spec:
+        if len(budgets) != 3:
+            raise UsageError("--budgets expects start:stop:step or a comma list")
+        start, stop, step = budgets
+        if stop < start:
+            raise UsageError("--budgets range must be increasing with a positive step")
+        budgets = range(start, stop + 1, step)
+    # A slice counts even a range too long for len(), and builds no list.
+    if len(budgets[:_MAX_BUDGETS + 1]) > _MAX_BUDGETS:
+        raise UsageError(f"--budgets names more than {_MAX_BUDGETS} budgets")
+    return list(budgets)
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -159,6 +160,12 @@ class MethodMetrics(NamedTuple):
 _REPORT_COLUMNS = MethodMetrics._fields
 
 
+def _require_finite(value: float, path: str) -> None:
+    # json.loads reads NaN, Infinity and integers too large for a float.
+    if not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"metrics.json: {path} must be a finite number")
+
+
 class MetricsReport(NamedTuple):
     """Per-method metrics, and the ProofSketch token savings against each
     baseline in percent. compute_metrics works the savings out from the
@@ -190,11 +197,14 @@ class MetricsReport(NamedTuple):
                 if not isinstance(value, kind) or isinstance(value, bool):
                     raise SchemaError(f"metrics.json: methods.{name}.{column} must be "
                                       + ("an integer" if column == "n" else "a number"))
+                _require_finite(value, f"methods.{name}.{column}")
         savings = doc.get("token_savings_percent")
         if not isinstance(savings, dict) or not all(
                 isinstance(value, (int, float)) and not isinstance(value, bool)
                 for value in savings.values()):
             raise SchemaError("metrics.json: token_savings_percent must be an object of numbers")
+        for pair, value in savings.items():
+            _require_finite(value, f"token_savings_percent.{pair}")
         return cls({name: MethodMetrics(**{column: row[column] for column in _REPORT_COLUMNS})
                     for name, row in methods.items()}, savings)
 

@@ -104,10 +104,11 @@ class PipelineConfig(CheckedTuple, _PipelineConfigFields):
     additionally certifies Unknown when neither polarity is derivable,
     trusting the closure as complete for this fragment; it never applies
     when both polarities are derivable, since a contradictory theory must
-    not certify anything. With closure_short_circuit off it changes nothing.
+    not certify anything. It acts only through the short circuit.
 
-    A count or budget below 1, or a temperature that is not a finite
-    non-negative number, raises ValueError however the config is built:
+    A count or budget below 1, a temperature that is not a finite
+    non-negative number, or certify_unknown_from_closure without
+    closure_short_circuit raises ValueError however the config is built:
     _make, and so _replace, construct through __new__.
     """
 
@@ -124,6 +125,8 @@ class PipelineConfig(CheckedTuple, _PipelineConfigFields):
             raise ValueError("fixed_budget must be at least 1")
         if not 0 <= config.temperature <= sys.float_info.max:
             raise ValueError("temperature must be a finite non-negative number")
+        if config.certify_unknown_from_closure and not config.closure_short_circuit:
+            raise ValueError("certify_unknown_from_closure needs closure_short_circuit")
         return config
 
     @property

@@ -182,7 +182,7 @@ def canonicalize_claim(claim_text: str, theory: Theory) -> Literal | None:
         literal = _parse_fact(_words(expanded))
     except ParseError:
         return None
-    if literal.entity not in theory.entities() or literal.attribute not in theory.attributes():
+    if literal.entity not in theory.entities or literal.attribute not in theory.attributes:
         return None
     return literal
 

@@ -14,8 +14,8 @@ therefore have three possible labels: True, False, Unknown.
 Two input formats are supported.
 
 Natural-language text is a sequence of period-terminated sentences, in
-which, as in claims and declarative questions, any run of whitespace
-reads as one space:
+which, as in claims and questions, any run of whitespace reads as one
+space:
 
     FACT      <Name> is [not] <Attribute>.
     RULE-IF   If <someone|something|Name> is [not] <Attr> [and [is] [not]
@@ -49,11 +49,11 @@ take their names as given.
 A Theory holds its asserted facts of both polarities in one literal set;
 a fact asserted together with its negation is rejected at construction.
 
-Literal, Rule and Question are named tuples and Theory is a slotted
-class, all immutable. Rule checks its fields in __new__, and CheckedTuple
-gives it, like each checked named tuple, a _make that checks too.
-Literal and Rule compare and hash as the tuples of their fields; Theory
-and Question compare on what they say, not on the text they were read from.
+Literal, Rule, Theory and Question are named tuples. Rule and Theory
+check their fields in __new__, and CheckedTuple gives them, like each
+checked named tuple, a _make that checks too. Literal and Rule compare
+and hash as the tuples of their fields; Theory and Question compare on
+what they say, not on the text they were read from.
 """
 
 from __future__ import annotations
@@ -191,9 +191,9 @@ def literal_sort_key(literal: Literal) -> tuple[str, str, str]:
 
 class CheckedTuple:
     """Base of the named tuples that check their fields in __new__ (Rule,
-    GenerationRequest, OracleNoiseConfig, PipelineConfig), listed before
-    the fields class. Its _make builds through the class, so _make, and
-    _replace through it, check too."""
+    Theory, GenerationRequest, OracleNoiseConfig, PipelineConfig), listed
+    before the fields class. Its _make builds through the class, so _make,
+    and _replace through it, check too; copy and pickle call __new__."""
 
     __slots__ = ()
 
@@ -234,23 +234,27 @@ class Rule(CheckedTuple, _RuleFields):
         return super().__new__(cls, subject, body, head)
 
 
-class Theory:
-    """Asserted facts of either polarity plus rules.
+class _TheoryFields(NamedTuple):
+    facts: frozenset[Literal]
+    rules: tuple[Rule, ...] = ()
+    source_text: str | None = None
+    entities: frozenset[str] = frozenset()
+    attributes: frozenset[str] = frozenset()
 
-    A Theory is immutable. It compares and hashes on its facts and rules
-    only; source_text is the text it was parsed from, if any. The entity
-    and attribute vocabularies are computed once, at construction: claim
-    canonicalization checks them for every claim.
+
+class Theory(CheckedTuple, _TheoryFields):
+    """Asserted facts of either polarity plus rules, compared and hashed on
+    those only; source_text is the text it was parsed from, if any.
+
+    __new__ rejects contradictory facts and derives the entities (named by
+    facts or concrete rule subjects) and attributes, ignoring any passed:
+    the constructor, _make, _replace, copy and pickle all run it.
     """
 
-    __slots__ = ("facts", "rules", "source_text", "_entities", "_attributes")
+    __slots__ = ()
 
-    facts: frozenset[Literal]
-    rules: tuple[Rule, ...]
-    source_text: str | None
-
-    def __init__(self, facts: frozenset[Literal], rules: tuple[Rule, ...] = (),
-                 source_text: str | None = None) -> None:
+    def __new__(cls, facts: frozenset[Literal], rules: tuple[Rule, ...] = (),
+                source_text: str | None = None, *_derived: Any) -> "Theory":
         denied = {(l.entity, l.attribute) for l in facts if not l.positive}
         clash = min(((l.entity, l.attribute) for l in facts
                      if l.positive and (l.entity, l.attribute) in denied), default=None)
@@ -259,44 +263,20 @@ class Theory:
         entities = {literal.entity for literal in facts}
         entities.update(rule.subject for rule in rules if rule.subject is not None)
         attributes = {literal.attribute for literal in facts}
-        for rule in rules:
-            attributes.update(attribute for attribute, _ in rule.body)
-            attributes.add(rule.head[0])
-        set_field = object.__setattr__  # this class's own __setattr__ refuses
-        set_field(self, "facts", facts)
-        set_field(self, "rules", rules)
-        set_field(self, "source_text", source_text)
-        set_field(self, "_entities", frozenset(entities))
-        set_field(self, "_attributes", frozenset(attributes))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        attributes.update(attribute for rule in rules for attribute, _ in (*rule.body, rule.head))
+        return super().__new__(cls, facts, rules, source_text,
+                               frozenset(entities), frozenset(attributes))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.facts == other.facts and self.rules == other.rules
 
+    # tuple's own != would compare source_text too; object's negates __eq__.
+    __ne__ = object.__ne__
+
     def __hash__(self) -> int:
         return hash((self.facts, self.rules))
-
-    def __repr__(self) -> str:
-        return (f"Theory(facts={self.facts!r}, rules={self.rules!r}, "
-                f"source_text={self.source_text!r})")
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, not through __setattr__.
-        return Theory, (self.facts, self.rules, self.source_text)
-
-    def entities(self) -> frozenset[str]:
-        """Entities named by facts or by a concrete rule subject."""
-        return self._entities
-
-    def attributes(self) -> frozenset[str]:
-        return self._attributes
 
     def to_text(self) -> str:
         """Render as grammar-conforming sentences. For every theory that
@@ -525,21 +505,21 @@ def parse_question(text: str) -> Question:
     interrogative form the attribute is the final word; everything between
     "Is" and an optional "not" names the entity.
     """
-    stripped = text.strip().rstrip("?.").strip()
-    if not stripped:
+    words = _words(text.strip().rstrip("?."))
+    if not words:
         raise ParseError("empty question")
-    if stripped.lower().startswith("is "):
-        words = stripped.split()
-        if len(words) < 3:
+    if words.lower().startswith("is "):
+        parts = words.split(" ")
+        if len(parts) < 3:
             raise ParseError("expected 'Is <name> [not] <attribute>?'")
-        remainder = words[1:-1]
+        remainder = parts[1:-1]
         neg = remainder.pop() if remainder and remainder[-1].lower() == "not" else None
-        attribute, polarity = _condition(neg, words[-1])
+        attribute, polarity = _condition(neg, parts[-1])
         if not remainder:
             raise ParseError("question names no entity")
         entity = canonicalize_symbol(" ".join(remainder))
     else:
-        literal = _parse_fact(_words(stripped))
+        literal = _parse_fact(words)
         entity, attribute, polarity = literal.entity, literal.attribute, literal.polarity
     if entity in _QUESTION_WORDS:
         raise ParseError(f"{entity!r} is not an entity name")

@@ -57,8 +57,8 @@ def random_rule(rng: random.Random, entities: list[str], attributes: list[str]) 
 
 
 def random_question(rng: random.Random, theory: Theory) -> Question:
-    entities = sorted(theory.entities()) or ["anne"]
-    attributes = sorted(theory.attributes()) or ["big"]
+    entities = sorted(theory.entities) or ["anne"]
+    attributes = sorted(theory.attributes) or ["big"]
     entity = rng.choice(entities)
     attribute = rng.choice(attributes)
     polarity = Polarity.POSITIVE if rng.random() < 0.7 else Polarity.NEGATIVE
@@ -91,7 +91,7 @@ def brute_force_closure(theory: Theory) -> Closure:
     production engine, depths included.
     """
     depths: dict[Literal, int] = {literal: 0 for literal in theory.facts}
-    entities = theory.entities()
+    entities = theory.entities
     sweep = 0
     while True:
         sweep += 1

@@ -451,6 +451,8 @@ class TestUserErrors:
           for timeout_ms in (1e14, 1e300)),
         ([], [], "config file must hold a JSON object"),
         ({}, ["--backend", "http"], "--backend http requires --endpoint and --model"),
+        ({"certify_unknown_from_closure": True, "closure_short_circuit": False}, [],
+         "config file: certify_unknown_from_closure needs closure_short_circuit"),
     ])
     def test_config_value_types(self, theory_file, dataset, tmp_path, capsys, doc, backend,
                                 message) -> None:
@@ -610,6 +612,14 @@ class TestUserErrors:
          "metrics.json: token_savings_percent must be an object of numbers"),
         ({"methods": {"ZeroShot": METRICS_ROW}, "token_savings_percent": {"a_vs_b": True}},
          "metrics.json: token_savings_percent must be an object of numbers"),
+        # json.loads reads NaN and Infinity, but a report holds finite numbers only.
+        *(({"methods": {"ZeroShot": {**METRICS_ROW, "accuracy": value}},
+            "token_savings_percent": {}},
+           "metrics.json: methods.ZeroShot.accuracy must be a finite number")
+          for value in (float("nan"), float("inf"), -float("inf"), 10 ** 400)),
+        *(({"methods": {"ZeroShot": METRICS_ROW}, "token_savings_percent": {"a_vs_b": value}},
+           "metrics.json: token_savings_percent.a_vs_b must be a finite number")
+          for value in (float("nan"), float("inf"))),
     ])
     def test_malformed_metrics(self, tmp_path, capsys, doc, message) -> None:
         (tmp_path / "metrics.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -690,9 +700,18 @@ class TestReadmeErrorExamples:
          {"bad.jsonl": json.dumps({"id": "r1", "theory": "Anne is big. Anne is not big.",
                                    "question": "Is Anne big?", "answer": "True"}) + "\n"},
          "", "no valid records in bad.jsonl (line 1: both polarities asserted for (anne, big))"),
+        (_ANSWER + ["--config", "{dir}/config.json"],
+         {"config.json": '{"certify_unknown_from_closure": true, "closure_short_circuit": false}'},
+         "", "config file: certify_unknown_from_closure needs closure_short_circuit"),
+        (["ablate", "{dir}/data.jsonl", "--budgets", "1:1000000000:1"],
+         {"data.jsonl": _DUPLICATE_IDS}, "", "--budgets names more than 1000 budgets"),
+        (["report", "{dir}"],
+         {"metrics.json": json.dumps({"methods": {"ZeroShot": {**METRICS_ROW, "accuracy": float("nan")}},
+                                      "token_savings_percent": {}})},
+         "", "metrics.json: methods.ZeroShot.accuracy must be a finite number"),
     ], ids=("nan", "max-retries", "workers", "api-key", "metrics-row", "metrics-savings",
             "bare-not", "unknown-key", "duplicate-id", "read-back", "empty-script",
-            "all-rejected"))
+            "all-rejected", "certify-without-short-circuit", "budgets-ceiling", "metrics-nan"))
     def test_example_gives_quoted_message(self, tmp_path, capsys, monkeypatch, argv, files, key,
                                           quoted) -> None:
         monkeypatch.setattr(time, "sleep", lambda seconds: pytest.fail("backoff slept"))
@@ -822,6 +841,20 @@ class TestBudgetSpecParsing:
     def test_bad_specs(self, spec: str) -> None:
         with pytest.raises(UsageError):
             _parse_budgets(spec)
+
+    @pytest.mark.parametrize("spec", ["1:1000000000:1", "1:1001:1", "1:" + "9" * 40 + ":1",
+                                      ",".join(["8"] * 1001)],
+                             ids=("1e9-range", "1001-range", "40-digit-stop", "1001-list"))
+    def test_too_many_budgets(self, spec: str) -> None:
+        # Each budget is a full eval; the count is checked before any list is built.
+        with pytest.raises(UsageError, match="^--budgets names more than 1000 budgets$"):
+            _parse_budgets(spec)
+
+    def test_budget_ceiling(self, dataset, capsys, monkeypatch) -> None:
+        assert len(_parse_budgets("1:1000:1")) == len(_parse_budgets("1:1999:2")) == 1000
+        monkeypatch.setattr(harness, "run_ablation", lambda *a, **k: pytest.fail("ablation ran"))
+        assert main(["ablate", str(dataset), "--budgets", "1:1000000000:1"]) == 2
+        assert _error_line(capsys) == "proofsketch: error: --budgets names more than 1000 budgets"
 
 
 class TestRecordSeedMixing:

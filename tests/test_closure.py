@@ -327,9 +327,9 @@ class TestEntityHasVerifiableLiteral:
             theory = random_theory(rng)
             closure = forward_chain(theory)
             reference = brute_force_closure(theory)
-            for entity in sorted(theory.entities()) + ["zed"]:
+            for entity in sorted(theory.entities) + ["zed"]:
                 expected = {
-                    literal for attribute in theory.attributes() for polarity in Polarity
+                    literal for attribute in theory.attributes for polarity in Polarity
                     if verify_claim(literal := Literal(entity, attribute, polarity), reference)
                     is VerdictStatus.VERIFIED
                 }

@@ -456,21 +456,30 @@ class TestCertifyUnknownFlag:
         result = run_pipeline(CLOSURE, OPEN_Q, PipelineConfig(), generator)
         assert result.generator_calls == 1
 
-    @pytest.mark.parametrize("short_circuit, certify, answer, source, calls", [
-        (False, False, Label.TRUE, AnswerSource.CERTIFIED_SKETCH, 1),
-        (False, True, Label.TRUE, AnswerSource.CERTIFIED_SKETCH, 1),
-        (True, True, Label.UNKNOWN, AnswerSource.CLOSURE_SHORT_CIRCUIT, 0),
+    @pytest.mark.parametrize("short_circuit, certify, outcome", [
+        (False, False, (Label.TRUE, AnswerSource.CERTIFIED_SKETCH, 1)),
+        (False, True, None),
+        (True, True, (Label.UNKNOWN, AnswerSource.CLOSURE_SHORT_CIRCUIT, 0)),
     ], ids=("both-off", "certify-only", "both-on"))
-    def test_flag_acts_only_with_the_short_circuit(self, short_circuit, certify, answer,
-                                                   source, calls) -> None:
-        # Without the short circuit the flag changes nothing: the sketch,
-        # certified by its one verified claim, answers for itself.
+    def test_flag_acts_only_with_the_short_circuit(self, short_circuit, certify,
+                                                   outcome) -> None:
+        # Without the short circuit the flag would change nothing, so that
+        # config is refused, however it is built; with the short circuit
+        # off, the sketch, certified by its one verified claim, answers for itself.
+        if outcome is None:
+            with pytest.raises(ValueError, match="^certify_unknown_from_closure needs "
+                                                 "closure_short_circuit$"):
+                PipelineConfig(closure_short_circuit=short_circuit,
+                               certify_unknown_from_closure=certify)
+            with pytest.raises(ValueError):
+                PipelineConfig(certify_unknown_from_closure=True)._replace(
+                    closure_short_circuit=False)
+            return
         closure = forward_chain(parse_theory_nl("Anne is big. Bob is kind."))
         config = PipelineConfig(closure_short_circuit=short_circuit,
                                 certify_unknown_from_closure=certify)
         generator = ScriptedGenerator(['{"answer": "True", "claims": ["anne is big"]}'])
         result = run_pipeline(closure, parse_question("Is Anne green?"), config, generator)
-        assert (result.answer, result.answer_source, result.generator_calls) == (
-            answer, source, calls)
+        assert (result.answer, result.answer_source, result.generator_calls) == outcome
         assert result.certification is Certification.CERTIFIED
-        assert generator.calls == calls
+        assert generator.calls == outcome[2]

@@ -291,8 +291,8 @@ class TestTotality:
         if parsed.parse_status is ParseStatus.FAILED:
             assert parsed.claims == ()
         for claim in parsed.claims:
-            assert claim.entity in THEORY.entities()
-            assert claim.attribute in THEORY.attributes()
+            assert claim.entity in THEORY.entities
+            assert claim.attribute in THEORY.attributes
 
     @given(st.text(max_size=300))
     @settings(max_examples=300, deadline=None)

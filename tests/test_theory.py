@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from proofsketch.theory import (EmptySymbolError, InconsistentFactsError, Label, Literal,
                                 ParseError, Polarity, Rule, SchemaError, Theory,
-                                canonicalize_symbol, parse_question, parse_theory_nl,
-                                parse_theory_structured)
+                                canonicalize_symbol, literal_sort_key, parse_question,
+                                parse_theory_nl, parse_theory_structured)
 
 from helpers import random_theory, to_structured
 
@@ -144,10 +144,11 @@ class TestTheoryInvariants:
 
     def test_vocabulary_covers_rule_subjects(self) -> None:
         theory = parse_theory_nl("Anne is big. If bob is big then bob is kind.")
-        assert theory.entities() == {"anne", "bob"}
-        assert theory.attributes() == {"big", "kind"}
+        assert theory.entities == {"anne", "bob"}
+        assert theory.attributes == {"big", "kind"}
 
-    @pytest.mark.parametrize("name", ["facts", "rules", "source_text", "_entities"])
+    @pytest.mark.parametrize("name", ["facts", "rules", "source_text", "_entities", "entities",
+                                      "attributes"])
     def test_fields_cannot_be_assigned(self, name: str) -> None:
         theory = parse_theory_nl("Anne is big.")
         with pytest.raises(AttributeError):
@@ -159,7 +160,24 @@ class TestTheoryInvariants:
         for twin in (copy.copy(theory), copy.deepcopy(theory),
                      pickle.loads(pickle.dumps(theory))):
             assert twin == theory and twin.source_text == theory.source_text
-            assert twin.entities() == theory.entities()
+            assert twin.entities == theory.entities
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_every_way_of_building_checks_and_derives(self, seed: int) -> None:
+        theory = random_theory(random.Random(seed))
+        fresh = Theory(theory.facts, theory.rules)
+        built = (Theory._make(theory), theory._replace(source_text="Anne is big."),
+                 theory._replace(rules=())._replace(rules=theory.rules),
+                 theory._replace(entities=frozenset(), attributes=frozenset()),
+                 copy.copy(theory), copy.deepcopy(theory), pickle.loads(pickle.dumps(theory)))
+        for twin in built:
+            assert twin == theory and hash(twin) == hash(theory)
+            assert (twin.entities, twin.attributes) == (fresh.entities, fresh.attributes)
+        assert theory._replace(rules=()).entities == {fact.entity for fact in theory.facts}
+        fact = min(theory.facts, key=literal_sort_key)
+        with pytest.raises(InconsistentFactsError):
+            theory._replace(facts=theory.facts | {fact.negated()})
 
     def test_source_text_is_not_compared_or_hashed(self) -> None:
         parsed = parse_theory_nl("Anne is big. If someone is big then they are kind.")
@@ -551,11 +569,16 @@ class TestParseQuestion:
         assert hash(declarative) == hash(interrogative)
         assert declarative != parse_question("Is Anne big?")
 
-    @pytest.mark.parametrize("text", ["Who is kind?", "", "Is kind?", "Anne likes Bob.",
-                                      "Is\tAnne kind?"])
+    @pytest.mark.parametrize("text", ["Who is kind?", "", "Is kind?", "Anne likes Bob."])
     def test_rejected_forms(self, text: str) -> None:
         with pytest.raises(ParseError):
             parse_question(text)
+
+    @pytest.mark.parametrize("text", ["Is\tAnne kind?", "Is\nAnne kind?", "Is\u00a0Anne kind?",
+                                      " is  Anne\t\tkind ?"])
+    def test_whitespace_run_after_is(self, text: str) -> None:
+        # The 'Is' that opens a question reads whitespace as every other word does.
+        assert parse_question(text) == parse_question("Is Anne kind?")
 
     @pytest.mark.parametrize("text", ["Is Anne not?", "Is Anne not not?", "Anne is not.",
                                       "Anne is Not?"],
