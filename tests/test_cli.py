@@ -706,7 +706,8 @@ class TestReadmeErrorExamples:
         (["ablate", "{dir}/data.jsonl", "--budgets", "1:1000000000:1"],
          {"data.jsonl": _DUPLICATE_IDS}, "", "--budgets names more than 1000 budgets"),
         (["report", "{dir}"],
-         {"metrics.json": json.dumps({"methods": {"ZeroShot": {**METRICS_ROW, "accuracy": float("nan")}},
+         {"metrics.json": json.dumps({"methods": {"ZeroShot": {**METRICS_ROW,
+                                                               "accuracy": float("nan")}},
                                       "token_savings_percent": {}})},
          "", "metrics.json: methods.ZeroShot.accuracy must be a finite number"),
     ], ids=("nan", "max-retries", "workers", "api-key", "metrics-row", "metrics-savings",
